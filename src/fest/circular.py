@@ -399,21 +399,27 @@ def lcp_omega(forest, s1, i1: int, s2, i2: int):
     else:
         rec.threshold += 1
         mid_equal = eq_at(mid_scale)
+    # Extracted windows go back in `finally`, as in Forest._lcp_impl.
     if mid_equal:
         upper = squaring_upper_bound(eq_at, cap, rec)
     else:
         sides = _make_sides(forest, s1, i1, s2, i2, mid_scale, same)
-        upper = squaring_upper_bound(
-            lambda t: sides[0].prefix_fp(t) == sides[1].prefix_fp(t),
-            mid_scale, rec)
-        for side in sides:
-            side.put_back()
+        try:
+            upper = squaring_upper_bound(
+                lambda t: sides[0].prefix_fp(t) == sides[1].prefix_fp(t),
+                mid_scale, rec)
+        finally:
+            for side in sides:
+                side.put_back()
 
     sides = _make_sides(forest, s1, i1, s2, i2, upper, same)
-    length = exponential_search(
-        lambda t: sides[0].prefix_fp(t) == sides[1].prefix_fp(t), upper, rec)
-    for side in sides:
-        side.put_back()
+    try:
+        length = exponential_search(
+            lambda t: sides[0].prefix_fp(t) == sides[1].prefix_fp(t),
+            upper, rec)
+    finally:
+        for side in sides:
+            side.put_back()
 
     forest.stats.lcp_squaring_probes += rec.squaring
     a = _omega_symbol(forest, s1, i1, length + 1)
@@ -423,5 +429,9 @@ def lcp_omega(forest, s1, i1: int, s2, i2: int):
 
 def _make_sides(forest, s1, i1, s2, i2, size, same):
     allow = not same
-    return (_OmegaSide(forest, s1, i1, size, allow),
-            _OmegaSide(forest, s2, i2, size, allow))
+    first = _OmegaSide(forest, s1, i1, size, allow)
+    try:
+        return first, _OmegaSide(forest, s2, i2, size, allow)
+    except BaseException:
+        first.put_back()
+        raise

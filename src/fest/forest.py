@@ -210,9 +210,9 @@ class Forest:
             q, new_start = i, 1
         cfg = self.cfg
         node = sc.Node(c)
-        sc.pull(node, cfg.base, cfg.modulus, cfg.fmap)
         tree = s.tree
         if n == 0:
+            sc.pull(node, cfg.base, cfg.modulus, cfg.fmap)
             tree.root = node
         elif q == n + 1:
             # Append: the old root becomes the new node's left subtree.
@@ -450,17 +450,23 @@ class Forest:
         else:
             rec.threshold += 1
             mid_equal = eq_direct(mid_scale)
+        # The windows go back in `finally`: an exception or interrupt raised
+        # mid-search must not leave symbols outside their strings.
         if mid_equal:
             upper = squaring_upper_bound(eq_direct, min_suffix, rec)
         else:
             windows = self._take_windows(s1, i1, s2, i2, mid_scale)
-            upper = squaring_upper_bound(windows.eq_at, mid_scale, rec)
-            windows.put_back()
+            try:
+                upper = squaring_upper_bound(windows.eq_at, mid_scale, rec)
+            finally:
+                windows.put_back()
 
         # Steps 2-4: search inside windows of the certified bound, restore.
         windows = self._take_windows(s1, i1, s2, i2, upper)
-        length = exponential_search(windows.eq_at, upper, rec)
-        windows.put_back()
+        try:
+            length = exponential_search(windows.eq_at, upper, rec)
+        finally:
+            windows.put_back()
 
         a = self.access(s1, i1 + length)
         b = self.access(s2, i2 + length)
@@ -516,7 +522,8 @@ class _Windows:
 
     Handles the same-string overlapping case with one combined window, the
     same-string disjoint case with extraction order that keeps coordinates
-    stable, and the two-string case.  put_back() restores both strings.
+    stable, and the two-string case.  put_back() restores both strings; if
+    the second extraction raises, the first window is put back at once.
     """
 
     def __init__(self, forest: Forest, s1, i1, s2, i2, size):
@@ -531,11 +538,20 @@ class _Windows:
             self.delta = i2 - i1
             self.w = forest._extract_window(s1.tree, i1, i2 + size - 1)
         elif s1 is s2:
-            self.w2 = forest._extract_window(s2.tree, i2, i2 + size - 1)
-            self.w1 = forest._extract_window(s1.tree, i1, i1 + size - 1)
+            self.w2, self.w1 = self._take_two(s2, i2, s1, i1)
         else:
-            self.w1 = forest._extract_window(s1.tree, i1, i1 + size - 1)
-            self.w2 = forest._extract_window(s2.tree, i2, i2 + size - 1)
+            self.w1, self.w2 = self._take_two(s1, i1, s2, i2)
+
+    def _take_two(self, sa, ia, sb, ib):
+        """Extract a then b; if b raises, a goes back before re-raising."""
+        f = self.forest
+        size = self.size
+        wa = f._extract_window(sa.tree, ia, ia + size - 1)
+        try:
+            return wa, f._extract_window(sb.tree, ib, ib + size - 1)
+        except BaseException:
+            f._reintroduce_window(sa.tree, ia, wa)
+            raise
 
     def eq_at(self, t: int) -> bool:
         f = self.forest

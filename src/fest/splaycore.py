@@ -12,6 +12,11 @@ node's own pending flags are applied, with every descendant interpreted
 through its own flags.  `pull` therefore reads children through
 `effective_fps`, and `fix` materializes a node's own flags by one level.
 
+The one exception is a splay in progress: rotations only relink, so the
+aggregates of the nodes on the access path are stale until `splay` returns.
+`splay` pulls every demoted node after its step and pulls the splayed node
+last, so no caller ever sees a stale aggregate.
+
 All descents and splays are iterative; trees can degrade to long spines and
 recursion would overflow.
 """
@@ -209,8 +214,12 @@ def fix(x: Node, fmap: dict | None, stats: TreeStats) -> None:
         stats.fixes += 1
 
 
-def _rotate(x: Node, par: Node, cfg: TreeConfig, stats: TreeStats) -> None:
-    """Rotate the edge between x and its parent; x moves up one level."""
+def _rotate(x: Node, par: Node) -> None:
+    """Relink the edge between x and its parent; x moves up one level.
+
+    Only links change: the aggregates of x and par are left stale, and
+    splay pulls them once the whole step is done.
+    """
     g = par.parent
     if par.left is x:
         sub = x.right
@@ -229,43 +238,56 @@ def _rotate(x: Node, par: Node, cfg: TreeConfig, stats: TreeStats) -> None:
             g.left = x
         else:
             g.right = x
-    b = cfg.base
-    p = cfg.modulus
-    f = cfg.fmap
-    pull(par, b, p, f)
-    pull(x, b, p, f)
-    stats.rotations += 1
 
 
 def splay(x: Node, cfg: TreeConfig, stats: TreeStats,
-          stop_below: Node | None = None,
           forbid_final_zigzig: bool = False) -> None:
-    """Move x up until its parent is stop_below (or x is the root).
+    """Move x up until it is the root.
 
-    Callers must have fixed x and all its ancestors up to stop_below, which
-    holds whenever x was reached by descending from the root.
+    Callers must have fixed x and all its ancestors, which holds whenever x
+    was reached by descending from the root.
+
+    Aggregates on the access path are stale until splay returns.  After
+    each step the nodes it demoted are pulled, the deeper one first; their
+    children are off the access path or were pulled in an earlier step.
+    x itself is pulled last, once, and only if it moved.
 
     With forbid_final_zigzig, a last two-edge step in the zig-zig shape is
     replaced by two bottom-up single rotations, so the node previously at
-    the boundary ends as a child (not grandchild) of x.
+    the root ends as a child (not grandchild) of x.
     """
-    while True:
-        par = x.parent
-        if par is stop_below or par is None:
-            break
+    par = x.parent
+    if par is None:
+        return
+    b = cfg.base
+    p = cfg.modulus
+    f = cfg.fmap
+    rotations = 0
+    while par is not None:
         g = par.parent
-        if g is stop_below or g is None:
-            _rotate(x, par, cfg, stats)
-            continue
-        zigzig = (g.left is par) == (par.left is x)
-        if zigzig and not (forbid_final_zigzig
-                           and (g.parent is stop_below or g.parent is None)):
-            _rotate(par, g, cfg, stats)
-            _rotate(x, par, cfg, stats)
+        if g is None:
+            _rotate(x, par)
+            pull(par, b, p, f)
+            rotations += 1
+            break
+        if (g.left is par) == (par.left is x) \
+                and not (forbid_final_zigzig and g.parent is None):
+            # zig-zig: g ends below par, par below x.
+            _rotate(par, g)
+            _rotate(x, par)
+            pull(g, b, p, f)
+            pull(par, b, p, f)
         else:
-            # zig-zag, or the rewritten final zig-zig: rotate x up twice.
-            _rotate(x, par, cfg, stats)
-            _rotate(x, g, cfg, stats)
+            # zig-zag, or the rewritten final zig-zig (g ends above par):
+            # rotate x up twice.
+            _rotate(x, par)
+            _rotate(x, g)
+            pull(par, b, p, f)
+            pull(g, b, p, f)
+        rotations += 2
+        par = x.parent
+    pull(x, b, p, f)
+    stats.rotations += rotations
 
 
 def descend_to_rank(root: Node, i: int, cfg: TreeConfig,

@@ -5,9 +5,12 @@ import random
 
 import pytest
 
-from fest import Forest, HandleError, Order, RangeError, UsageError
-from fest.oracle import OracleForest
+from fest import CIRCULAR, LINEAR, Forest, HandleError, Order, RangeError, \
+    UsageError
+from fest import circular as fest_circular
+from fest import forest as fest_forest
 from fest import splaycore as sc
+from fest.oracle import OracleForest
 
 
 DNA = {ord("A"): ord("T"), ord("T"): ord("A"),
@@ -489,6 +492,86 @@ def test_lcp_range_errors(forest):
         forest.lcp(s, 0, s, 1)
     with pytest.raises(RangeError):
         forest.lcp(s, 1, s, 4)
+
+
+class InjectedFault(Exception):
+    """Stands in for an error or interrupt arriving mid-search."""
+
+
+def _lcp_fault_case(case):
+    """(forest, oracle, query name, args for both) for one fault scenario."""
+    rng = random.Random(30)
+    forest, oracle = Forest(seed=30), OracleForest()
+    mode = CIRCULAR if case == "omega-lcp-10" else LINEAR
+    if case.startswith("same-"):
+        if case == "same-overlap":
+            w, i2 = ([1, 2, 3] * 200)[:599] + [9], 4
+        else:
+            half = [rng.randrange(4) for _ in range(300)]
+            w, i2 = half + half[:10] + [half[10] ^ 1] + half[11:], 301
+        s, o = forest.make_string(w), oracle.make_string(w)
+        return forest, oracle, "lcp", (s, 1, s, i2), (o, 1, o, i2)
+    n, at = {"linear-301": (600, 301), "linear-11": (600, 11),
+             "omega-lcp-10": (700, 11)}[case]
+    w1 = [rng.randrange(4) for _ in range(n)]
+    w2 = list(w1)
+    w2[at - 1] = (w1[at - 1] + 1) % 4
+    s1, s2 = forest.make_string(w1, mode), forest.make_string(w2, mode)
+    o1, o2 = oracle.make_string(w1, mode), oracle.make_string(w2, mode)
+    name = "lcp_omega" if mode == CIRCULAR else "lcp"
+    return forest, oracle, name, (s1, 1, s2, 1), (o1, 1, o2, 1)
+
+
+@pytest.mark.parametrize("case", ["linear-301", "linear-11", "same-overlap",
+                                  "same-disjoint", "omega-lcp-10"])
+def test_lcp_restores_strings_after_a_fault(monkeypatch, case):
+    # The k-th fault point raises, for every k until the query completes.
+    # Fault points are the probes made through squaring_upper_bound or
+    # exponential_search and every window extraction.
+    forest, oracle, name, args, oracle_args = _lcp_fault_case(case)
+    want = getattr(oracle, name)(*oracle_args)
+    before = {s.id: full(forest, s) for s in forest.live_handles()}
+    points = [0]
+    fault_at = [0]
+
+    def tick():
+        points[0] += 1
+        if points[0] == fault_at[0]:
+            raise InjectedFault
+
+    def faulty(fn):
+        def patched(eq_at, bound, rec):
+            def probe(t):
+                tick()
+                return eq_at(t)
+            return fn(probe, bound, rec)
+        return patched
+
+    extract = fest_forest.Forest._extract_window
+
+    def faulty_extract(self, tree, a, b):
+        tick()
+        return extract(self, tree, a, b)
+
+    module = fest_circular if name == "lcp_omega" else fest_forest
+    for helper in ("squaring_upper_bound", "exponential_search"):
+        monkeypatch.setattr(module, helper, faulty(getattr(module, helper)))
+    monkeypatch.setattr(fest_forest.Forest, "_extract_window", faulty_extract)
+    while True:
+        fault_at[0] += 1
+        points[0] = 0
+        try:
+            got = getattr(forest, name)(*args)
+            break
+        except InjectedFault:
+            for s in forest.live_handles():
+                sc.verify_tree(s.tree.root, forest.cfg)
+            assert {s.id: full(forest, s)
+                    for s in forest.live_handles()} == before, fault_at[0]
+    assert got == want
+    rec = forest.stats.last_lcp
+    assert rec.squaring and rec.search  # so both helpers had faults injected
+    assert {s.id: full(forest, s) for s in forest.live_handles()} == before
 
 
 # ------------------------------------------------------------------- stats

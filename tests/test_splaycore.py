@@ -171,28 +171,40 @@ def test_standard_zigzig_demotes_old_root_two_levels():
     sc.verify_tree(tree.root, cfg)
 
 
-def test_splay_stop_below_leaves_node_as_child():
-    cfg = make_cfg()
-    tree, stats = left_spine([1, 2, 3, 4, 5], cfg)
-    root = tree.root
-    deepest = root
-    while deepest.left is not sc.NULL:
-        deepest = deepest.left
-    sc.splay(deepest, cfg, stats, stop_below=root)
-    assert deepest.parent is root
-    assert sc.logical_symbols(root, None) == [1, 2, 3, 4, 5]
-    sc.verify_tree(root, cfg)
+#: An involution on every symbol the property tests draw.
+FLIP = {c: c ^ 1 for c in range(256)}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 255), min_size=1, max_size=40),
        st.randoms(use_true_random=False))
 def test_splay_preserves_inorder_and_aggregates(symbols, rnd):
-    tree, cfg, stats = make_tree(symbols)
-    for _ in range(10):
-        sc.find(tree, rnd.randrange(1, len(symbols) + 1), cfg, stats)
-        assert content(tree, cfg) == symbols
-    sc.verify_tree(tree.root, cfg)
+    # Pending rev/map flags on isolated ranges make later splays run over
+    # flagged nodes; isolate covers forbid_final_zigzig and attach points.
+    # Ancestors are repulled only after a flag toggle, so a stale aggregate
+    # left by a splay reaches verify_tree.
+    tree, cfg, stats = make_tree(symbols, fmap=FLIP)
+    want = list(symbols)
+    n = len(want)
+    for _ in range(20):
+        i = rnd.randrange(1, n + 1)
+        j = rnd.randrange(i - 1, n + 1)
+        kind = rnd.randrange(4)
+        if kind == 0:
+            sc.find(tree, i, cfg, stats)
+        elif kind == 1 or j == i - 1:
+            sc.isolate(tree, i, j, cfg, stats)
+        else:
+            y = sc.isolate(tree, i, j, cfg, stats)
+            if kind == 2:
+                y.rev = not y.rev
+                want[i - 1:j] = want[i - 1:j][::-1]
+            else:
+                y.map = not y.map
+                want[i - 1:j] = [FLIP[c] for c in want[i - 1:j]]
+            sc.repull_ancestors_from(y.parent, cfg)
+        assert content(tree, cfg) == want
+        sc.verify_tree(tree.root, cfg)
 
 
 # -------------------------------------------------------------------- find
