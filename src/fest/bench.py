@@ -5,6 +5,15 @@ one string of length about n and reports exact instrumentation counters
 (rotations, fixes, probe counts) plus wall time.  Counters are deterministic
 given the seed; wall time is reported but never gated, because amortized
 constants are machine-dependent.
+
+Each lcp runs on a planted pair: a block of log-uniform length is copied
+out of the string into a scratch string, followed by one symbol that
+differs from the original's next symbol, so the lcp is exactly the block
+length and the squaring and search phases run.  The scratch string is
+emptied again after the query.  The plant and the emptying are left out
+of the row's counters and time, so a row counts the lcp's own work and
+the ops on the string, whose cost depends on n; the plant's depends only
+on the block length.
 """
 
 from __future__ import annotations
@@ -36,10 +45,13 @@ def run_row(n: int, seed: int, ops_factor: int = 10) -> BenchRow:
     forest = Forest(seed=seed)
     rng = random.Random(seed * 1_000_003 + n)
     s = forest.make_string([rng.randrange(256) for _ in range(n)])
+    copy = forest.make_string([])
     ops = ops_factor * n
     stats = forest.stats
     rot0 = stats.rotations
     fix0 = stats.fixes
+    plant_rot = plant_fix = 0  # setup and cleanup of the planted lcps
+    plant_s = 0.0
     probe_totals = []
     lo, hi = n // 2 + 1, 2 * n  # keep the length near n
     t0 = time.perf_counter()
@@ -68,20 +80,48 @@ def run_row(n: int, seed: int, ops_factor: int = 10) -> BenchRow:
             i, j = sorted((rng.randint(1, size), rng.randint(1, size)))
             forest.reverse(s, i, j)
         else:
-            forest.lcp(s, rng.randint(1, size), s, rng.randint(1, size))
+            t1 = time.perf_counter()
+            r1, f1 = stats.rotations, stats.fixes
+            i, block = _plant(forest, s, copy, rng)
+            t2 = time.perf_counter()
+            r2, f2 = stats.rotations, stats.fixes
+            forest.lcp(s, i, copy, 1)
             probe_totals.append(stats.last_lcp.total)
+            t3 = time.perf_counter()
+            r3, f3 = stats.rotations, stats.fixes
+            for _ in range(block + 1):
+                forest.delete(copy, copy.length)
+            plant_rot += r2 - r1 + stats.rotations - r3
+            plant_fix += f2 - f1 + stats.fixes - f3
+            plant_s += t2 - t1 + time.perf_counter() - t3
     elapsed = time.perf_counter() - t0
     return BenchRow(
         n=n,
         ops=ops,
-        rotations_per_op=(stats.rotations - rot0) / ops,
-        fixes_per_op=(stats.fixes - fix0) / ops,
-        time_us_per_op=elapsed / ops * 1e6,
+        rotations_per_op=(stats.rotations - rot0 - plant_rot) / ops,
+        fixes_per_op=(stats.fixes - fix0 - plant_fix) / ops,
+        time_us_per_op=(elapsed - plant_s) / ops * 1e6,
         lcp_calls=len(probe_totals),
         lcp_probes_mean=(sum(probe_totals) / len(probe_totals)
                          if probe_totals else 0.0),
         lcp_probes_max=max(probe_totals, default=0),
     )
+
+
+def _plant(forest, s, copy, rng) -> tuple[int, int]:
+    """Fill the empty `copy` with s[i..i+L-1] plus a differing symbol.
+
+    L is drawn log-uniformly from [1, min(|s| - 1, 256)]: an octave, then
+    a length within it.  Returns (i, L); lcp(s, i, copy, 1) is exactly L.
+    """
+    upper = min(s.length - 1, 256)
+    octave = rng.randrange(upper.bit_length())
+    block = rng.randint(1 << octave, min(upper, (2 << octave) - 1))
+    i = rng.randint(1, s.length - block)
+    symbols = forest.retrieve(s, i, i + block)
+    symbols[-1] = (symbols[-1] + 1 + rng.randrange(255)) % 256
+    forest.introduce(copy, 1, forest.make_string(symbols))
+    return i, block
 
 
 def run_suite(sizes, seed: int = 0, ops_factor: int = 10) -> list[BenchRow]:

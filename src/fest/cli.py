@@ -385,10 +385,14 @@ def run_script(lines, *, seed: int = 0, involution=None, shadow: bool = False,
 
 
 def format_stats(runner: ScriptRunner) -> str:
-    st = runner.forest.stats
+    """Counters as `key<TAB>number` lines under one `#` header line."""
+    forest = runner.forest
+    st = forest.stats
     per_op = st.rotations / runner.ops if runner.ops else 0.0
     lines = [
         "# instrumentation",
+        f"seed\t{forest.ctx.seed}",
+        f"base\t{forest.ctx.base}",
         f"ops\t{runner.ops}",
         f"rotations\t{st.rotations}",
         f"rotations_per_op\t{per_op:.4f}",
@@ -397,9 +401,14 @@ def format_stats(runner: ScriptRunner) -> str:
         f"equal_tests\t{st.equal_tests}",
         f"lcp_calls\t{st.lcp_calls}",
         f"lcp_squaring_probes\t{st.lcp_squaring_probes}",
+        f"mapped_refreshes\t{st.mapped_refreshes}",
     ]
-    if st.last_lcp is not None:
-        lines.append(f"last_lcp_probes\t{st.last_lcp}")
+    p = st.last_lcp
+    if p is not None:
+        lines += [f"last_lcp_border\t{p.border}",
+                  f"last_lcp_threshold\t{p.threshold}",
+                  f"last_lcp_squaring\t{p.squaring}",
+                  f"last_lcp_search\t{p.search}"]
     return "\n".join(lines)
 
 

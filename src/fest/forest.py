@@ -34,6 +34,7 @@ class ForestStats(sc.TreeStats):
     equal_tests: int = 0
     lcp_calls: int = 0
     lcp_squaring_probes: int = 0
+    mapped_refreshes: int = 0
     last_lcp: LcpProbes | None = None
 
     def reset(self):
@@ -43,6 +44,7 @@ class ForestStats(sc.TreeStats):
         self.equal_tests = 0
         self.lcp_calls = 0
         self.lcp_squaring_probes = 0
+        self.mapped_refreshes = 0
         self.last_lcp = None
 
 
@@ -328,6 +330,9 @@ class Forest:
         else:
             a, b = self._linear_range(s, i, j)
         y = sc.isolate(s.tree, a, b, self.cfg, self.stats)
+        # A map-flagged subtree must be fresh; the flag goes on only once
+        # the refresh has completed.
+        self.stats.mapped_refreshes += sc.refresh_mapped(y, self.cfg)
         y.map = not y.map
         sc.repull_ancestors_from(y.parent, self.cfg)
         self._after(s)

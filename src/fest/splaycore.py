@@ -9,13 +9,28 @@ transformation has not been pushed down yet.
 
 Stored aggregates of a node always describe the subtree *before* that
 node's own pending flags are applied, with every descendant interpreted
-through its own flags.  `pull` therefore reads children through
-`effective_fps`, and `fix` materializes a node's own flags by one level.
+through its own flags.  `pull` therefore reads children through their
+flags, and `fix` materializes a node's own flags by one level.
 
-The one exception is a splay in progress: rotations only relink, so the
+One exception is a splay in progress: rotations only relink, so the
 aggregates of the nodes on the access path are stale until `splay` returns.
 `splay` pulls every demoted node after its step and pulls the splayed node
-last, so no caller ever sees a stale aggregate.
+last, so no caller ever sees a stale size, power, `fp` or `fprev`.
+
+The other is the mapped pair (`mfp`, `mfprev`), which only `map` reads.
+With an involution configured, `pull` keeps size, power, `fp` and `fprev`
+and marks the mapped pair stale (`mfp = mfprev = None`); `refresh_mapped`
+recomputes the stale pairs of a subtree, children first, right before a
+`map` flag is set on it.  Two invariants hold between public operations:
+
+* no fresh node has a stale child, so a fresh node's subtree is all fresh;
+* a node with the `map` flag, and its whole subtree, is fresh.
+
+So `pull` and `fix` only read the mapped pair of a child whose `map` flag
+is set, which is fresh.  Every refresh clears a mark that one earlier pull
+set, so the mapped work never exceeds one recomputation per pull, the cost
+of keeping the pair eager, and the O(log n) amortized bounds stay.  Without
+an involution the mapped pair aliases `fp`/`fprev` and is never stale.
 
 All descents and splays are iterative; trees can degrade to long spines and
 recursion would overflow.
@@ -134,7 +149,11 @@ def validate_involution(pairs) -> dict:
 
 
 def effective_fps(x: Node) -> tuple[int, int, int, int]:
-    """(fp, fprev, mfp, mfprev) of x's subtree with x's own flags applied."""
+    """(fp, fprev, mfp, mfprev) of x's subtree with x's own flags applied.
+
+    The mapped pair of a stale x comes back as None in whichever slots it
+    lands; x is never both stale and map-flagged.
+    """
     fp, fprev, mfp, mfprev = x.fp, x.fprev, x.mfp, x.mfprev
     if x.rev:
         fp, fprev = fprev, fp
@@ -146,10 +165,12 @@ def effective_fps(x: Node) -> tuple[int, int, int, int]:
 
 
 def pull(x: Node, b: int, p: int, fmap: dict | None) -> None:
-    """Recompute all aggregates of x from its children and own symbol.
+    """Recompute size, power, fp and fprev of x from its children.
 
     Children are read through their pending flags, so pull is correct even
-    while descendants carry unmaterialized reversals or mappings.
+    while descendants carry unmaterialized reversals or mappings.  With an
+    involution, x's mapped pair is marked stale for `refresh_mapped`;
+    without one it aliases fp and fprev.
     """
     l = x.left
     r = x.right
@@ -157,26 +178,81 @@ def pull(x: Node, b: int, p: int, fmap: dict | None) -> None:
     lp = l.power
     rp = r.power
     x.power = lp * rp % p * b % p
-    c = x.char
-    lfp, lfprev, lmfp, lmfprev = l.fp, l.fprev, l.mfp, l.mfprev
-    if l.rev:
-        lfp, lfprev, lmfp, lmfprev = lfprev, lfp, lmfprev, lmfp
     if l.map:
-        lfp, lmfp, lfprev, lmfprev = lmfp, lfp, lmfprev, lfprev
-    rfp, rfprev, rmfp, rmfprev = r.fp, r.fprev, r.mfp, r.mfprev
-    if r.rev:
-        rfp, rfprev, rmfp, rmfprev = rfprev, rfp, rmfprev, rmfp
-    if r.map:
-        rfp, rmfp, rfprev, rmfprev = rmfp, rfp, rmfprev, rfprev
-    x.fp = ((lfp * b + c) * rp + rfp) % p
-    x.fprev = ((rfprev * b + c) * lp + lfprev) % p
-    if fmap is None:
-        x.mfp = x.fp
-        x.mfprev = x.fprev
+        lfp = l.mfp
+        lfprev = l.mfprev
     else:
+        lfp = l.fp
+        lfprev = l.fprev
+    if l.rev:
+        lfp, lfprev = lfprev, lfp
+    if r.map:
+        rfp = r.mfp
+        rfprev = r.mfprev
+    else:
+        rfp = r.fp
+        rfprev = r.fprev
+    if r.rev:
+        rfp, rfprev = rfprev, rfp
+    c = x.char
+    fp = ((lfp * b + c) * rp + rfp) % p
+    fprev = ((rfprev * b + c) * lp + lfprev) % p
+    x.fp = fp
+    x.fprev = fprev
+    if fmap is None:
+        x.mfp = fp
+        x.mfprev = fprev
+    else:
+        x.mfp = x.mfprev = None
+
+
+def refresh_mapped(y: Node, cfg: TreeConfig) -> int:
+    """Recompute every stale mapped pair in y's subtree; return how many.
+
+    Collects the stale nodes in pre-order, descending only into stale
+    children (a fresh node has no stale descendant), then refreshes them in
+    reverse, so children come before parents and an exception part-way
+    leaves both invariants intact.  Children are read through their flags,
+    as in `pull`.
+    """
+    if y.mfp is not None:
+        return 0
+    b = cfg.base
+    p = cfg.modulus
+    fmap = cfg.fmap
+    stale = []
+    stack = [y]
+    while stack:
+        x = stack.pop()
+        stale.append(x)
+        if x.left.mfp is None:
+            stack.append(x.left)
+        if x.right.mfp is None:
+            stack.append(x.right)
+    for x in reversed(stale):
+        l = x.left
+        r = x.right
+        if l.map:
+            lm = l.fp
+            lmrev = l.fprev
+        else:
+            lm = l.mfp
+            lmrev = l.mfprev
+        if l.rev:
+            lm, lmrev = lmrev, lm
+        if r.map:
+            rm = r.fp
+            rmrev = r.fprev
+        else:
+            rm = r.mfp
+            rmrev = r.mfprev
+        if r.rev:
+            rm, rmrev = rmrev, rm
+        c = x.char
         fc = fmap.get(c, c)
-        x.mfp = ((lmfp * b + fc) * rp + rmfp) % p
-        x.mfprev = ((rmfprev * b + fc) * lp + lmfprev) % p
+        x.mfp = ((lm * b + fc) * r.power + rm) % p
+        x.mfprev = ((rmrev * b + fc) * l.power + lmrev) % p
+    return len(stale)
 
 
 def fix(x: Node, fmap: dict | None, stats: TreeStats) -> None:
@@ -200,15 +276,18 @@ def fix(x: Node, fmap: dict | None, stats: TreeStats) -> None:
         x.mfp, x.mfprev = x.mfprev, x.mfp
         stats.fixes += 1
     if x.map:
+        # Map the symbol first: a raising involution leaves x untouched.
+        c = x.char
+        if fmap is not None:
+            c = fmap.get(c, c)
         x.map = False
+        x.char = c
         l = x.left
         r = x.right
         if l is not NULL:
             l.map = not l.map
         if r is not NULL:
             r.map = not r.map
-        if fmap is not None:
-            x.char = fmap.get(x.char, x.char)
         x.fp, x.mfp = x.mfp, x.fp
         x.fprev, x.mfprev = x.mfprev, x.fprev
         stats.fixes += 1
@@ -451,7 +530,8 @@ def build_balanced(symbols, cfg: TreeConfig) -> Node | None:
     """Build a perfectly balanced tree over the symbols, in one linear pass.
 
     Aggregates are filled bottom-up as the recursion (depth O(log n))
-    returns, i.e. in post-order.
+    returns, i.e. in post-order; one `refresh_mapped` then fills the mapped
+    pairs, so every node of a new tree is fresh.
     """
     syms = symbols if isinstance(symbols, list) else list(symbols)
     b = cfg.base
@@ -474,7 +554,9 @@ def build_balanced(symbols, cfg: TreeConfig) -> Node | None:
 
     if not syms:
         return None
-    return rec(0, len(syms) - 1)
+    root = rec(0, len(syms) - 1)
+    refresh_mapped(root, cfg)
+    return root
 
 
 def inorder_symbols(root: Node | None, cfg: TreeConfig,
@@ -552,7 +634,10 @@ def tree_height(root: Node | None) -> int:
 def verify_tree(root: Node | None, cfg: TreeConfig) -> None:
     """Audit every stored field against a full bottom-up recomputation.
 
-    Raises AssertionError naming the first inconsistent node.  Read-only.
+    Size, power, fp and fprev are checked on every node, the mapped pair on
+    every fresh node, and so are both mapped-pair invariants (see the module
+    docstring).  Raises AssertionError naming the first inconsistent node.
+    Read-only.
     """
     if root is None:
         return
@@ -579,18 +664,27 @@ def verify_tree(root: Node | None, cfg: TreeConfig) -> None:
             raise AssertionError(f"size mismatch at {x!r}")
         if x.power != l.power * r.power % p * b % p:
             raise AssertionError(f"power mismatch at {x!r}")
+        stale = x.mfp is None
+        if stale != (x.mfprev is None):
+            raise AssertionError(f"half-stale mapped pair at {x!r}")
+        if stale and (fmap is None or x.map):
+            raise AssertionError(f"stale mapped pair at {x!r}")
+        if not stale and (l.mfp is None or r.mfp is None):
+            raise AssertionError(f"fresh node over a stale child at {x!r}")
         lfp, lfprev, lmfp, lmfprev = effective_fps(l)
         rfp, rfprev, rmfp, rmfprev = effective_fps(r)
         c = x.char
-        fc = fmap.get(c, c) if fmap is not None else c
         want_fp = ((lfp * b + c) * r.power + rfp) % p
         want_fprev = ((rfprev * b + c) * l.power + lfprev) % p
-        want_mfp = ((lmfp * b + fc) * r.power + rmfp) % p
-        want_mfprev = ((rmfprev * b + fc) * l.power + lmfprev) % p
         if x.fp != want_fp:
             raise AssertionError(f"fp mismatch at {x!r}")
         if x.fprev != want_fprev:
             raise AssertionError(f"fprev mismatch at {x!r}")
+        if stale:
+            continue
+        fc = fmap.get(c, c) if fmap is not None else c
+        want_mfp = ((lmfp * b + fc) * r.power + rmfp) % p
+        want_mfprev = ((rmfprev * b + fc) * l.power + lmfprev) % p
         if x.mfp != want_mfp:
             raise AssertionError(f"mfp mismatch at {x!r}")
         if x.mfprev != want_mfprev:

@@ -20,6 +20,14 @@ def test_counters_are_deterministic_given_seed():
     assert counters(a) != counters(c)
 
 
+def test_planted_lcps_reach_squaring_and_search():
+    # A border-only lcp costs 2 probes; planted blocks need more.
+    row = run_row(4096, seed=5, ops_factor=1)
+    assert row.lcp_calls > 0
+    assert row.lcp_probes_mean > 2
+    assert row.lcp_probes_max > 8
+
+
 def test_suite_requires_ascending_sizes():
     with pytest.raises(ValueError):
         run_suite([512, 256])

@@ -8,6 +8,7 @@ import pytest
 
 from fest.cli import ScriptRunner, ShadowDivergence, main, \
     parse_involution_file, render_symbols, run_script
+from fest.fingerprint import FingerprintContext
 
 
 def run_lines(lines, **kw):
@@ -177,14 +178,27 @@ def test_cli_subprocess_end_to_end(tmp_path):
     script = tmp_path / "s.fest"
     script.write_text(
         "MAKE s mississippi\nEXTRACT s 9 11 t\nINTRO s 1 t\n"
-        "RETRIEVE s 1 11\n")
+        "RETRIEVE s 1 11\nLCP s 1 s 2\n")
     proc = subprocess.run(
         [sys.executable, "-m", "fest.cli", "--shadow-oracle", "--stats",
-         str(script)],
+         "--seed", "17", str(script)],
         capture_output=True, text=True)
     assert proc.returncode == 0
-    assert proc.stdout == "ppimississi\n"
-    assert "rotations" in proc.stderr
+    assert proc.stdout == "ppimississi\n1 GREATER\n"
+    header, *rows = proc.stderr.splitlines()
+    assert header.startswith("#")
+    stats = {}
+    for row in rows:
+        key, value = row.split("\t")
+        assert key.isidentifier()
+        float(value)  # every value is a plain number
+        stats[key] = value
+    assert stats["seed"] == "17"
+    assert int(stats["base"]) == FingerprintContext(seed=17).base
+    assert int(stats["rotations"]) > 0
+    assert stats["mapped_refreshes"] == "0"
+    assert {"last_lcp_border", "last_lcp_threshold", "last_lcp_squaring",
+            "last_lcp_search"} <= stats.keys()
 
 
 def test_cli_subprocess_env_seed(tmp_path):

@@ -5,7 +5,7 @@ counterexamples: when something diverges, hypothesis minimizes the failing
 operation sequence instead of leaving a 100k-line script to bisect.
 """
 
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fest import CIRCULAR, Forest
@@ -219,3 +219,102 @@ def test_empty_circular_string_round_trip():
     assert s.length == 0 and s.start == 1
     forest.introduce(s, 1, piece)
     assert forest.retrieve(s, 1, 2) == [ord("a"), ord("b")]
+
+
+# ------------------------------------------------------------ error paths
+
+#: Stand-ins for the first and second handle in drawn arguments.
+FIRST, SECOND = object(), object()
+
+
+def _position(rnd, n):
+    """A boundary or out-of-range position for a length-n string."""
+    return rnd.choice([-1, 0, 1, n, n + 1, n + 2, rnd.randint(1, n + 1)])
+
+
+def _length(rnd, n):
+    return rnd.choice([-1, 0, 1, n, n + 1, 2 * n + 1, rnd.randint(0, n)])
+
+
+def _symbol(rnd):
+    return rnd.choice([-1, 2**32, "x", rnd.randrange(4)])
+
+
+def _error_call(rnd, n, n2):
+    """(method, args) for one call of any verb, mostly with bad arguments."""
+    name = rnd.choice([
+        "make_string", "access", "retrieve", "substitute", "insert",
+        "delete", "introduce", "extract", "equal", "lcp", "reverse", "map",
+        "rotate", "equal_omega", "equal_omega_omega", "lcp_omega"])
+    i, j, i2 = _position(rnd, n), _position(rnd, n), _position(rnd, n2)
+    if name == "make_string":
+        args = ([rnd.randrange(4), _symbol(rnd)],
+                rnd.choice(["linear", CIRCULAR, "spiral"]))
+    elif name in ("access", "delete", "rotate"):
+        args = (FIRST, i)
+    elif name in ("retrieve", "extract", "reverse", "map"):
+        args = (FIRST, i, j)
+    elif name in ("substitute", "insert"):
+        args = (FIRST, i, _symbol(rnd))
+    elif name == "introduce":
+        args = (FIRST, i, SECOND)
+    elif name in ("equal", "equal_omega"):
+        args = (FIRST, i, SECOND, i2, _length(rnd, n))
+    elif name in ("lcp", "lcp_omega"):
+        args = (FIRST, i, SECOND, i2)
+    else:
+        args = (FIRST, i, _length(rnd, n), SECOND, i2, _length(rnd, n2))
+    return name, args
+
+
+def _outcome(target, name, args, first, second):
+    """The answer of the call, or the FestError subclass it raised."""
+    bound = [first if a is FIRST else second if a is SECOND else a
+             for a in args]
+    try:
+        return "ok", getattr(target, name)(*bound)
+    except FestError as exc:
+        return "error", type(exc)
+
+
+@seed(20240505)
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 2**30), min_size=1, max_size=40))
+def test_error_paths_agree_with_oracle(salts):
+    # Invalid positions, lengths and symbols, stale and foreign handles, and
+    # map without an involution: both sides raise the same FestError
+    # subclass and no live string changes.
+    import random
+    from fest import splaycore as sc
+    systems = []
+    for involution in (INVOLUTION, None):
+        forest = Forest(seed=5, involution=involution)
+        oracle = OracleForest(involution=involution)
+        pairs = [(forest.make_string(w, mode), oracle.make_string(w, mode))
+                 for w, mode in (([1, 2, 3, 0], "linear"),
+                                 ([2, 1], CIRCULAR), ([], "linear"))]
+        systems.append((forest, oracle, pairs, []))
+
+    for salt in salts:
+        rnd = random.Random(salt)
+        forest, oracle, pairs, dead = rnd.choice(systems)
+        # Live pairs mostly; else a destroyed one or one from either system.
+        (s, o), (s2, o2) = [
+            rnd.choice(rnd.choice([pairs, pairs, pairs, dead,
+                                   rnd.choice(systems)[2]]) or pairs)
+            for _ in range(2)]
+        name, args = _error_call(rnd, o.length, o2.length)
+        got = _outcome(forest, name, args, s, s2)
+        want = _outcome(oracle, name, args, o, o2)
+        if got[0] == want[0] == "ok" and name in ("make_string", "extract"):
+            pairs.append((got[1], want[1]))
+        else:
+            assert got == want, (name, args)
+        for f, _, live, gone in systems:
+            gone += [p for p in live if not p[1].alive]
+            live[:] = [p for p in live if p[1].alive]
+            for a, b in live:
+                assert a.alive
+                assert (f.retrieve(a, 1, a.length) if a.length
+                        else []) == b.symbols
+                sc.verify_tree(a.tree.root, f.cfg)

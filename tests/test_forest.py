@@ -574,6 +574,68 @@ def test_lcp_restores_strings_after_a_fault(monkeypatch, case):
     assert {s.id: full(forest, s) for s in forest.live_handles()} == before
 
 
+class _FaultyInvolution(dict):
+    """An involution table whose get raises at its fault_at-th call."""
+
+    fault_at = 0
+    calls = 0
+
+    def get(self, key, default=None):
+        self.calls += 1
+        if self.calls == self.fault_at:
+            raise InjectedFault
+        return super().get(key, default)
+
+
+def _scrambled_map_case():
+    """A 500-symbol string with stale mapped pairs and pending flags."""
+    rng = random.Random(41)
+    flip = {c: c ^ 1 for c in range(8)}
+    forest = Forest(seed=41, involution=flip)
+    w = [rng.randrange(8) for _ in range(500)]
+    s = forest.make_string(w)
+    for _ in range(300):
+        forest.access(s, rng.randint(1, 500))
+    for _ in range(12):
+        i, j = sorted(rng.sample(range(1, 501), 2))
+        if rng.random() < 0.5:
+            forest.map(s, i, j)
+            w[i - 1:j] = [flip[c] for c in w[i - 1:j]]
+        else:
+            forest.reverse(s, i, j)
+            w[i - 1:j] = w[i - 1:j][::-1]
+    table = _FaultyInvolution(flip)
+    forest.cfg.fmap = table
+    return forest, s, w, table
+
+
+def test_map_leaves_string_intact_after_an_involution_fault():
+    # The k-th involution lookup of map(s, 40, 460) raises, for every k the
+    # map reaches: in the descents' fixes and in the refresh of stale
+    # mapped pairs.  The flag is set only once the refresh has completed,
+    # so a fault leaves the content as it was and both invariants intact.
+    k = 0
+    while True:
+        k += 1
+        forest, s, w, table = _scrambled_map_case()
+        before = forest.stats.mapped_refreshes
+        table.fault_at = k
+        try:
+            forest.map(s, 40, 460)
+        except InjectedFault:
+            table.fault_at = 0
+            sc.verify_tree(s.tree.root, forest.cfg)
+            assert full(forest, s) == w, k
+            forest.map(s, 40, 460)  # a later map completes the refresh
+        else:
+            break
+        w[39:460] = [c ^ 1 for c in w[39:460]]
+        sc.verify_tree(s.tree.root, forest.cfg)
+        assert full(forest, s) == w, k
+    refreshed = forest.stats.mapped_refreshes - before
+    assert k > refreshed > 50  # so the walk had faults injected
+
+
 # ------------------------------------------------------------------- stats
 
 def test_find_on_root_costs_no_rotations(forest):

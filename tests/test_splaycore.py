@@ -60,8 +60,20 @@ def test_leaf_node_conventions():
     assert x.power == cfg.base
     assert x.fp == ord("A")
     assert x.fprev == ord("A")
+    # pull leaves the mapped pair stale; refresh_mapped fills it in
+    assert x.mfp is None and x.mfprev is None
+    assert sc.refresh_mapped(x, cfg) == 1
     assert x.mfp == ord("T")
     assert x.mfprev == ord("T")
+    assert sc.refresh_mapped(x, cfg) == 0
+
+
+def test_pull_without_involution_aliases_mapped_pair():
+    cfg = make_cfg()
+    x = sc.Node(ord("A"))
+    sc.pull(x, cfg.base, cfg.modulus, cfg.fmap)
+    assert (x.mfp, x.mfprev) == (x.fp, x.fprev) == (ord("A"), ord("A"))
+    assert sc.refresh_mapped(x, cfg) == 0
 
 
 def test_pull_three_node_tree_matches_eval():
@@ -110,12 +122,32 @@ def test_rev_plus_map_is_reverse_complement():
 def test_fix_materializes_without_changing_content():
     tree, cfg, stats = make_tree(codes("ACGTTGCA"), fmap=DNA, shuffle_seed=3)
     tree.root.rev = True
+    sc.refresh_mapped(tree.root, cfg)  # a map flag needs a fresh subtree
     tree.root.map = True
     want = content(tree, cfg)
     sc.fix(tree.root, cfg.fmap, stats)
     assert stats.fixes == 2
     assert content(tree, cfg) == want
     sc.verify_tree(tree.root, cfg)
+
+
+def test_verify_tree_audits_mapped_pair_invariants():
+    tree, cfg, stats = make_tree(codes("ACGTTGCAAC"), fmap=DNA)
+    sc.verify_tree(tree.root, cfg)  # a bulk build is fresh throughout
+    child = tree.root.left
+    child.mfp = child.mfprev = None
+    with pytest.raises(AssertionError, match="fresh node over a stale child"):
+        sc.verify_tree(tree.root, cfg)
+    tree.root.mfp = tree.root.mfprev = None
+    sc.verify_tree(tree.root, cfg)  # stale over stale is allowed
+    tree.root.map = True
+    with pytest.raises(AssertionError, match="stale mapped pair"):
+        sc.verify_tree(tree.root, cfg)
+    tree.root.map = False
+    assert sc.refresh_mapped(tree.root, cfg) == 2
+    tree.root.mfprev ^= 1
+    with pytest.raises(AssertionError, match="mfprev mismatch"):
+        sc.verify_tree(tree.root, cfg)
 
 
 # ------------------------------------------------------------------- splay
@@ -200,6 +232,7 @@ def test_splay_preserves_inorder_and_aggregates(symbols, rnd):
                 y.rev = not y.rev
                 want[i - 1:j] = want[i - 1:j][::-1]
             else:
+                sc.refresh_mapped(y, cfg)
                 y.map = not y.map
                 want[i - 1:j] = [FLIP[c] for c in want[i - 1:j]]
             sc.repull_ancestors_from(y.parent, cfg)
