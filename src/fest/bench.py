@@ -10,16 +10,21 @@ Each lcp runs on a planted pair: a block of log-uniform length is copied
 out of the string into a scratch string, followed by one symbol that
 differs from the original's next symbol, so the lcp is exactly the block
 length and the squaring and search phases run.  The scratch string is
-emptied again after the query.  The plant and the emptying are left out
-of the row's counters and time, so a row counts the lcp's own work and
-the ops on the string, whose cost depends on n; the plant's depends only
-on the block length.
+dropped after the query.  The plant and the drop are left out of the
+row's counters and time, so a row counts the lcp's own work and the ops
+on the string, whose cost depends on n; the plant's depends only on the
+block length.
+
+`--json FILE` also writes the rows, exact counters and time per op, as
+JSON for a benchmark ledger.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
+import json
 import random
 import sys
 import time
@@ -45,7 +50,6 @@ def run_row(n: int, seed: int, ops_factor: int = 10) -> BenchRow:
     forest = Forest(seed=seed)
     rng = random.Random(seed * 1_000_003 + n)
     s = forest.make_string([rng.randrange(256) for _ in range(n)])
-    copy = forest.make_string([])
     ops = ops_factor * n
     stats = forest.stats
     rot0 = stats.rotations
@@ -82,17 +86,15 @@ def run_row(n: int, seed: int, ops_factor: int = 10) -> BenchRow:
         else:
             t1 = time.perf_counter()
             r1, f1 = stats.rotations, stats.fixes
-            i, block = _plant(forest, s, copy, rng)
+            i, copy = _plant(forest, s, rng)
             t2 = time.perf_counter()
             r2, f2 = stats.rotations, stats.fixes
             forest.lcp(s, i, copy, 1)
             probe_totals.append(stats.last_lcp.total)
             t3 = time.perf_counter()
-            r3, f3 = stats.rotations, stats.fixes
-            for _ in range(block + 1):
-                forest.delete(copy, copy.length)
-            plant_rot += r2 - r1 + stats.rotations - r3
-            plant_fix += f2 - f1 + stats.fixes - f3
+            forest.drop(copy)
+            plant_rot += r2 - r1
+            plant_fix += f2 - f1
             plant_s += t2 - t1 + time.perf_counter() - t3
     elapsed = time.perf_counter() - t0
     return BenchRow(
@@ -108,11 +110,11 @@ def run_row(n: int, seed: int, ops_factor: int = 10) -> BenchRow:
     )
 
 
-def _plant(forest, s, copy, rng) -> tuple[int, int]:
-    """Fill the empty `copy` with s[i..i+L-1] plus a differing symbol.
+def _plant(forest, s, rng):
+    """A new string `copy` holding s[i..i+L-1] plus a differing symbol.
 
     L is drawn log-uniformly from [1, min(|s| - 1, 256)]: an octave, then
-    a length within it.  Returns (i, L); lcp(s, i, copy, 1) is exactly L.
+    a length within it.  Returns (i, copy); lcp(s, i, copy, 1) is exactly L.
     """
     upper = min(s.length - 1, 256)
     octave = rng.randrange(upper.bit_length())
@@ -120,8 +122,7 @@ def _plant(forest, s, copy, rng) -> tuple[int, int]:
     i = rng.randint(1, s.length - block)
     symbols = forest.retrieve(s, i, i + block)
     symbols[-1] = (symbols[-1] + 1 + rng.randrange(255)) % 256
-    forest.introduce(copy, 1, forest.make_string(symbols))
-    return i, block
+    return i, forest.make_string(symbols)
 
 
 def run_suite(sizes, seed: int = 0, ops_factor: int = 10) -> list[BenchRow]:
@@ -169,6 +170,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--ops-factor", type=int, default=10,
                         help="operations per unit of size (default 10)")
+    parser.add_argument("--json", metavar="FILE",
+                        help="also write the rows to FILE as JSON")
     args = parser.parse_args(argv)
     try:
         sizes = [int(tok) for tok in args.sizes.split(",") if tok]
@@ -178,6 +181,12 @@ def main(argv=None) -> int:
         return 1
     rows = run_suite(sizes, seed=args.seed, ops_factor=args.ops_factor)
     print(format_report(rows))
+    if args.json:
+        doc = {"seed": args.seed, "ops_factor": args.ops_factor,
+               "rows": [dataclasses.asdict(r) for r in rows]}
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
     return 0
 
 

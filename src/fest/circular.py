@@ -245,7 +245,7 @@ def _omega_fp_rotated(forest, s, i: int, length: int) -> int:
     n = root.size
     copies, part = divmod(length, n)
     turn_fp = root.fp
-    turn_power = root.power
+    turn_power = forest.cfg.pw[n]
     if part:
         part_fp, part_power = forest._tree_range_fp_power(s.tree, 1, part)
     else:

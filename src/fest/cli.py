@@ -114,7 +114,8 @@ _RESTORING = {"LCP", "LCPW", "EQW", "EQWW"}
 class ScriptRunner:
     """Executes script lines against a Forest, optionally shadowed."""
 
-    def __init__(self, seed: int = 0, involution=None, shadow: bool = False,
+    def __init__(self, seed: int | None = None, involution=None,
+                 shadow: bool = False,
                  check_full: bool = True, out=None):
         self.forest = Forest(seed=seed, involution=involution)
         self.oracle = OracleForest(involution=involution) if shadow else None
@@ -367,9 +368,14 @@ class RunResult:
     runner: ScriptRunner
 
 
-def run_script(lines, *, seed: int = 0, involution=None, shadow: bool = False,
-               check_full: bool = True, out=None) -> RunResult:
-    """Run script lines; returns the exit code instead of raising."""
+def run_script(lines, *, seed: int | None = None, involution=None,
+               shadow: bool = False, check_full: bool = True,
+               out=None) -> RunResult:
+    """Run script lines; returns the exit code instead of raising.
+
+    seed=None draws the fingerprint seed at random; a divergence report
+    names the seed and base so that the run can be replayed.
+    """
     runner = ScriptRunner(seed=seed, involution=involution, shadow=shadow,
                           check_full=check_full, out=out)
     try:
@@ -377,7 +383,10 @@ def run_script(lines, *, seed: int = 0, involution=None, shadow: bool = False,
     except ScriptError as exc:
         return RunResult(1, str(exc), runner.collisions, runner.ops, runner)
     except ShadowDivergence as exc:
-        return RunResult(3, str(exc), runner.collisions, runner.ops, runner)
+        ctx = runner.forest.ctx
+        return RunResult(3, f"{exc}\n  replay with --seed {ctx.seed} "
+                         f"(base {ctx.base})", runner.collisions, runner.ops,
+                         runner)
     except FestError as exc:
         return RunResult(2, f"{type(exc).__name__}: {exc}",
                          runner.collisions, runner.ops, runner)
@@ -418,9 +427,12 @@ def main(argv=None) -> int:
         description="Replay a dynamic-string operation script.")
     parser.add_argument("script", nargs="?",
                         help="script file (default: stdin)")
+    # A string default goes through type=int, so a bad FEST_SEED is
+    # reported like a bad --seed.
     parser.add_argument("--seed", type=int,
-                        default=int(os.environ.get("FEST_SEED", "0")),
-                        help="seed for the fingerprint base RNG")
+                        default=os.environ.get("FEST_SEED"),
+                        help="seed for the fingerprint base RNG (default: "
+                             "drawn at random; --stats prints it)")
     parser.add_argument("--involution",
                         default=os.environ.get("FEST_INVOLUTION"),
                         help="file of 'codeA codeB' involution pairs")

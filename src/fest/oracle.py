@@ -164,6 +164,10 @@ class OracleForest:
         s1.symbols[i - 1:i - 1] = s2.symbols
         self._destroy(s2)
 
+    def drop(self, s) -> None:
+        self._check(s)
+        self._destroy(s)
+
     def extract(self, s, i, j) -> OracleString:
         self._check(s)
         idxs = self._range_indices(s, i, j)

@@ -1,11 +1,18 @@
 """Self-adjusting order-statistic tree whose nodes carry string fingerprints.
 
 Each node stores one symbol plus aggregates over its subtree's in-order
-symbol sequence: node count, base power, and four fingerprints (forward,
-reversed, involution-mapped, mapped-and-reversed).  Two lazy flags defer
-subtree reversal (`rev`) and symbol mapping (`map`): a set flag means the
-subtree's logical content is the stored content transformed, but the
-transformation has not been pushed down yet.
+symbol sequence: node count and four fingerprints (forward, reversed,
+involution-mapped, mapped-and-reversed).  Two lazy flags defer subtree
+reversal (`rev`) and symbol mapping (`map`): a set flag means the subtree's
+logical content is the stored content transformed, but the transformation
+has not been pushed down yet.
+
+The base power b^size that the Karp-Rabin concatenation
+fp(uv) = fp(u)*b^|v| + fp(v) needs depends on the size alone, so it is read
+from one table per forest, `TreeConfig.pw`, and not stored per node.  The
+table must cover every tree built over the config: `build_balanced`
+reserves its length, and a caller that makes a tree longer than the table
+(an insert, a splice of two trees) calls `TreeConfig.reserve` first.
 
 Stored aggregates of a node always describe the subtree *before* that
 node's own pending flags are applied, with every descendant interpreted
@@ -15,10 +22,10 @@ flags, and `fix` materializes a node's own flags by one level.
 One exception is a splay in progress: rotations only relink, so the
 aggregates of the nodes on the access path are stale until `splay` returns.
 `splay` pulls every demoted node after its step and pulls the splayed node
-last, so no caller ever sees a stale size, power, `fp` or `fprev`.
+last, so no caller ever sees a stale size, `fp` or `fprev`.
 
 The other is the mapped pair (`mfp`, `mfprev`), which only `map` reads.
-With an involution configured, `pull` keeps size, power, `fp` and `fprev`
+With an involution configured, `pull` keeps size, `fp` and `fprev`
 and marks the mapped pair stale (`mfp = mfprev = None`); `refresh_mapped`
 recomputes the stale pairs of a subtree, children first, right before a
 `map` flag is set on it.  Two invariants hold between public operations:
@@ -44,13 +51,14 @@ from .errors import RangeError, UsageError
 
 
 class Node:
-    """One symbol plus subtree aggregates and lazy flags.
+    """One symbol plus subtree aggregates (size and four fingerprints) and
+    lazy flags.  The subtree's base power is `TreeConfig.pw[size]`.
 
     Freshly constructed nodes hold placeholder aggregates; every creation
     site must pull() before the node is read.
     """
 
-    __slots__ = ("char", "left", "right", "parent", "size", "power",
+    __slots__ = ("char", "left", "right", "parent", "size",
                  "fp", "fprev", "mfp", "mfprev", "rev", "map")
 
     def __init__(self, char: int):
@@ -59,7 +67,6 @@ class Node:
         self.right = NULL
         self.parent = None
         self.size = 1
-        self.power = 1
         self.fp = char
         self.fprev = char
         self.mfp = char
@@ -73,7 +80,7 @@ class Node:
 
 
 # Shared immutable stand-in for absent children: size 0, neutral fingerprints,
-# power 1, flags clear.  `pull` reads it without branching; `fix` and the
+# flags clear.  `pull` reads it without branching; `fix` and the
 # rotation code must never write to it.
 NULL = Node.__new__(Node)
 NULL.char = 0
@@ -81,7 +88,6 @@ NULL.left = None
 NULL.right = None
 NULL.parent = None
 NULL.size = 0
-NULL.power = 1
 NULL.fp = 0
 NULL.fprev = 0
 NULL.mfp = 0
@@ -91,19 +97,37 @@ NULL.map = False
 
 
 class TreeConfig:
-    """Per-forest arithmetic context: fingerprint base, modulus, involution.
+    """Per-forest arithmetic context: fingerprint base, modulus, involution,
+    and the table of base powers.
 
     fmap is a dict applying the symbol involution (absent keys map to
     themselves) or None when no involution is configured, in which case the
     mapped fingerprints alias the plain ones and cost nothing to maintain.
+
+    pw[k] = b^k mod p for k = 0 .. the longest tree reserved so far; it only
+    grows, one entry per symbol of that tree.
     """
 
-    __slots__ = ("base", "modulus", "fmap")
+    __slots__ = ("base", "modulus", "fmap", "pw")
 
     def __init__(self, base: int, modulus: int, fmap: dict | None = None):
         self.base = base
         self.modulus = modulus
         self.fmap = fmap
+        self.pw = [1]
+
+    def reserve(self, n: int) -> None:
+        """Extend pw so that pw[n] exists."""
+        pw = self.pw
+        k = len(pw)
+        if k > n:
+            return
+        b = self.base
+        p = self.modulus
+        x = pw[-1]
+        for _ in range(n + 1 - k):
+            x = x * b % p
+            pw.append(x)
 
 
 @dataclass
@@ -164,20 +188,22 @@ def effective_fps(x: Node) -> tuple[int, int, int, int]:
     return fp, fprev, mfp, mfprev
 
 
-def pull(x: Node, b: int, p: int, fmap: dict | None) -> None:
-    """Recompute size, power, fp and fprev of x from its children.
+def pull(x: Node, b: int, p: int, pw: list, fmap: dict | None) -> None:
+    """Recompute size, fp and fprev of x from its children.
 
     Children are read through their pending flags, so pull is correct even
-    while descendants carry unmaterialized reversals or mappings.  With an
-    involution, x's mapped pair is marked stale for `refresh_mapped`;
-    without one it aliases fp and fprev.
+    while descendants carry unmaterialized reversals or mappings.  The
+    children's base powers come from the table pw.  With an involution, x's
+    mapped pair is marked stale for `refresh_mapped`; without one it aliases
+    fp and fprev.
     """
     l = x.left
     r = x.right
-    x.size = l.size + 1 + r.size
-    lp = l.power
-    rp = r.power
-    x.power = lp * rp % p * b % p
+    ls = l.size
+    rs = r.size
+    x.size = ls + 1 + rs
+    lp = pw[ls]
+    rp = pw[rs]
     if l.map:
         lfp = l.mfp
         lfprev = l.mfprev
@@ -219,6 +245,7 @@ def refresh_mapped(y: Node, cfg: TreeConfig) -> int:
         return 0
     b = cfg.base
     p = cfg.modulus
+    pw = cfg.pw
     fmap = cfg.fmap
     stale = []
     stack = [y]
@@ -250,8 +277,8 @@ def refresh_mapped(y: Node, cfg: TreeConfig) -> int:
             rm, rmrev = rmrev, rm
         c = x.char
         fc = fmap.get(c, c)
-        x.mfp = ((lm * b + fc) * r.power + rm) % p
-        x.mfprev = ((rmrev * b + fc) * l.power + lmrev) % p
+        x.mfp = ((lm * b + fc) * pw[r.size] + rm) % p
+        x.mfprev = ((rmrev * b + fc) * pw[l.size] + lmrev) % p
     return len(stale)
 
 
@@ -340,13 +367,14 @@ def splay(x: Node, cfg: TreeConfig, stats: TreeStats,
         return
     b = cfg.base
     p = cfg.modulus
+    pw = cfg.pw
     f = cfg.fmap
     rotations = 0
     while par is not None:
         g = par.parent
         if g is None:
             _rotate(x, par)
-            pull(par, b, p, f)
+            pull(par, b, p, pw, f)
             rotations += 1
             break
         if (g.left is par) == (par.left is x) \
@@ -354,18 +382,18 @@ def splay(x: Node, cfg: TreeConfig, stats: TreeStats,
             # zig-zig: g ends below par, par below x.
             _rotate(par, g)
             _rotate(x, par)
-            pull(g, b, p, f)
-            pull(par, b, p, f)
+            pull(g, b, p, pw, f)
+            pull(par, b, p, pw, f)
         else:
             # zig-zag, or the rewritten final zig-zig (g ends above par):
             # rotate x up twice.
             _rotate(x, par)
             _rotate(x, g)
-            pull(par, b, p, f)
-            pull(g, b, p, f)
+            pull(par, b, p, pw, f)
+            pull(g, b, p, pw, f)
         rotations += 2
         par = x.parent
-    pull(x, b, p, f)
+    pull(x, b, p, pw, f)
     stats.rotations += rotations
 
 
@@ -448,9 +476,10 @@ def repull_ancestors_from(a: Node | None, cfg: TreeConfig) -> None:
     """Recompute aggregates up an ancestor chain (≤ 2 nodes after isolate)."""
     b = cfg.base
     p = cfg.modulus
+    pw = cfg.pw
     f = cfg.fmap
     while a is not None:
-        pull(a, b, p, f)
+        pull(a, b, p, pw, f)
         a = a.parent
 
 
@@ -504,7 +533,7 @@ def join(left: Node | None, right: Node | None, cfg: TreeConfig,
     splay(x, cfg, stats)
     x.right = right
     right.parent = x
-    pull(x, cfg.base, cfg.modulus, fmap)
+    pull(x, cfg.base, cfg.modulus, cfg.pw, fmap)
     return x
 
 
@@ -522,20 +551,23 @@ def split(tree: Tree, k: int, cfg: TreeConfig,
     right = x.right
     x.right = NULL
     right.parent = None
-    pull(x, cfg.base, cfg.modulus, cfg.fmap)
+    pull(x, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
     return x, right
 
 
 def build_balanced(symbols, cfg: TreeConfig) -> Node | None:
     """Build a perfectly balanced tree over the symbols, in one linear pass.
 
-    Aggregates are filled bottom-up as the recursion (depth O(log n))
-    returns, i.e. in post-order; one `refresh_mapped` then fills the mapped
-    pairs, so every node of a new tree is fresh.
+    Reserves the power table for the new tree first.  Aggregates are filled
+    bottom-up as the recursion (depth O(log n)) returns, i.e. in post-order;
+    one `refresh_mapped` then fills the mapped pairs, so every node of a new
+    tree is fresh.
     """
     syms = symbols if isinstance(symbols, list) else list(symbols)
+    cfg.reserve(len(syms))
     b = cfg.base
     p = cfg.modulus
+    pw = cfg.pw
     f = cfg.fmap
 
     def rec(lo: int, hi: int) -> Node:
@@ -549,7 +581,7 @@ def build_balanced(symbols, cfg: TreeConfig) -> Node | None:
             child = rec(mid + 1, hi)
             node.right = child
             child.parent = node
-        pull(node, b, p, f)
+        pull(node, b, p, pw, f)
         return node
 
     if not syms:
@@ -634,8 +666,9 @@ def tree_height(root: Node | None) -> int:
 def verify_tree(root: Node | None, cfg: TreeConfig) -> None:
     """Audit every stored field against a full bottom-up recomputation.
 
-    Size, power, fp and fprev are checked on every node, the mapped pair on
-    every fresh node, and so are both mapped-pair invariants (see the module
+    The power table must cover the tree's size and hold b^k at every k.
+    Size, fp and fprev are checked on every node, the mapped pair on every
+    fresh node, and so are both mapped-pair invariants (see the module
     docstring).  Raises AssertionError naming the first inconsistent node.
     Read-only.
     """
@@ -645,7 +678,14 @@ def verify_tree(root: Node | None, cfg: TreeConfig) -> None:
         raise AssertionError("root has a parent link")
     b = cfg.base
     p = cfg.modulus
+    pw = cfg.pw
     fmap = cfg.fmap
+    if len(pw) <= root.size:
+        raise AssertionError(
+            f"power table covers {len(pw) - 1} < tree size {root.size}")
+    if pw[0] != 1 or any(pw[k] != pw[k - 1] * b % p
+                         for k in range(1, root.size + 1)):
+        raise AssertionError("power table is not b^k mod p")
     # Iterative post-order: children checked before the parent.
     stack = [(root, False)]
     while stack:
@@ -662,8 +702,6 @@ def verify_tree(root: Node | None, cfg: TreeConfig) -> None:
         r = x.right
         if x.size != l.size + 1 + r.size:
             raise AssertionError(f"size mismatch at {x!r}")
-        if x.power != l.power * r.power % p * b % p:
-            raise AssertionError(f"power mismatch at {x!r}")
         stale = x.mfp is None
         if stale != (x.mfprev is None):
             raise AssertionError(f"half-stale mapped pair at {x!r}")
@@ -674,8 +712,10 @@ def verify_tree(root: Node | None, cfg: TreeConfig) -> None:
         lfp, lfprev, lmfp, lmfprev = effective_fps(l)
         rfp, rfprev, rmfp, rmfprev = effective_fps(r)
         c = x.char
-        want_fp = ((lfp * b + c) * r.power + rfp) % p
-        want_fprev = ((rfprev * b + c) * l.power + lfprev) % p
+        lp = pw[l.size]
+        rp = pw[r.size]
+        want_fp = ((lfp * b + c) * rp + rfp) % p
+        want_fprev = ((rfprev * b + c) * lp + lfprev) % p
         if x.fp != want_fp:
             raise AssertionError(f"fp mismatch at {x!r}")
         if x.fprev != want_fprev:
@@ -683,8 +723,8 @@ def verify_tree(root: Node | None, cfg: TreeConfig) -> None:
         if stale:
             continue
         fc = fmap.get(c, c) if fmap is not None else c
-        want_mfp = ((lmfp * b + fc) * r.power + rmfp) % p
-        want_mfprev = ((rmfprev * b + fc) * l.power + lmfprev) % p
+        want_mfp = ((lmfp * b + fc) * rp + rmfp) % p
+        want_mfprev = ((rmfprev * b + fc) * lp + lmfprev) % p
         if x.mfp != want_mfp:
             raise AssertionError(f"mfp mismatch at {x!r}")
         if x.mfprev != want_mfprev:

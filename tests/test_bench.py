@@ -59,3 +59,17 @@ def test_main_prints_report(capsys):
     out = capsys.readouterr().out
     assert out.startswith("n\t")
     assert main(["--sizes", "notanumber"]) == 1
+
+
+def test_main_writes_json_rows(tmp_path, capsys):
+    import json
+    from fest.bench import main
+    out = tmp_path / "rows.json"
+    assert main(["--sizes", "64,128", "--seed", "2", "--ops-factor", "1",
+                 "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["seed"], doc["ops_factor"]) == (2, 1)
+    want = run_suite([64, 128], seed=2, ops_factor=1)
+    assert [counters(BenchRow(**r)) for r in doc["rows"]] == \
+        [counters(r) for r in want]
+    assert all(r["time_us_per_op"] > 0 for r in doc["rows"])

@@ -212,6 +212,18 @@ def test_cli_subprocess_env_seed(tmp_path):
     assert proc.stdout == "TRUE\n"
 
 
+def test_cli_subprocess_bad_env_seed_is_a_usage_error(tmp_path):
+    import os
+    script = tmp_path / "s.fest"
+    script.write_text("MAKE a ab\n")
+    env = dict(os.environ, FEST_SEED="abc")
+    proc = subprocess.run([sys.executable, "-m", "fest.cli", str(script)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "argument --seed: invalid int value: 'abc'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_subprocess_env_involution(tmp_path):
     import os
     pairs = tmp_path / "dna.inv"
@@ -232,3 +244,35 @@ def test_cli_subprocess_parse_error_exit_code(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert "line 1" in proc.stderr
+
+
+def test_cli_default_seed_is_drawn_and_reported(tmp_path):
+    # No --seed and no FEST_SEED: the seed is drawn at random, and --stats
+    # reports it so that the run can be replayed with the same base.
+    import os
+    script = tmp_path / "s.fest"
+    script.write_text("MAKE a abab\nEQUAL a 1 a 3 2\n")
+    env = {k: v for k, v in os.environ.items() if k != "FEST_SEED"}
+
+    def stats(*flags):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fest.cli", "--stats", *flags,
+             str(script)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert proc.stdout == "TRUE\n"
+        return dict(row.split("\t") for row in proc.stderr.splitlines()[1:])
+
+    first, second = stats(), stats()
+    assert first["seed"] != second["seed"]
+    assert int(first["base"]) == FingerprintContext(
+        seed=int(first["seed"])).base
+    assert stats("--seed", first["seed"])["base"] == first["base"]
+
+
+def test_divergence_report_names_the_seed(monkeypatch):
+    from fest.forest import Forest
+    monkeypatch.setattr(Forest, "access", lambda self, s, i: 0)
+    result = run_script(["MAKE s ab", "ACCESS s 1"], shadow=True)
+    assert result.exit_code == 3
+    ctx = result.runner.forest.ctx
+    assert f"--seed {ctx.seed} (base {ctx.base})" in result.error

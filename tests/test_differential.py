@@ -245,11 +245,13 @@ def _error_call(rnd, n, n2):
     name = rnd.choice([
         "make_string", "access", "retrieve", "substitute", "insert",
         "delete", "introduce", "extract", "equal", "lcp", "reverse", "map",
-        "rotate", "equal_omega", "equal_omega_omega", "lcp_omega"])
+        "rotate", "equal_omega", "equal_omega_omega", "lcp_omega", "drop"])
     i, j, i2 = _position(rnd, n), _position(rnd, n), _position(rnd, n2)
     if name == "make_string":
         args = ([rnd.randrange(4), _symbol(rnd)],
                 rnd.choice(["linear", CIRCULAR, "spiral"]))
+    elif name == "drop":
+        args = (FIRST,)
     elif name in ("access", "delete", "rotate"):
         args = (FIRST, i)
     elif name in ("retrieve", "extract", "reverse", "map"):

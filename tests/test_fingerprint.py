@@ -164,3 +164,19 @@ def test_context_rejects_composite_modulus():
 
 def test_default_modulus_is_m61():
     assert DEFAULT_MODULUS == (1 << 61) - 1
+
+
+def test_default_seed_is_drawn_and_replays():
+    from fest import Forest
+    a, b = Forest(), Forest()
+    assert a.ctx.seed != b.ctx.seed
+    assert a.ctx.base != b.ctx.base
+    replay = Forest(seed=a.ctx.seed)
+    assert replay.ctx.base == a.ctx.base
+    answers = []
+    for f in (a, replay):
+        s = f.make_string("abracadabra")
+        t = f.make_string("abracadabrx")
+        answers.append((f._tree_range_fp(s.tree, 1, 11), f.lcp(s, 1, t, 1),
+                        f.equal(s, 1, s, 8, 4)))
+    assert answers[0] == answers[1]

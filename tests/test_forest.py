@@ -56,7 +56,7 @@ def test_make_string_fingerprint_matches_eval(forest):
         want = forest.ctx.eval(w)
         if w:
             assert s.tree.root.fp == want.fp
-            assert s.tree.root.power == want.power
+            assert forest.cfg.pw[s.length] == want.power
 
 
 def test_access_basic(forest):
@@ -657,3 +657,73 @@ def test_total_length_tracking(forest):
     assert forest.total_length == 6
     forest.extract(s1, 1, 2)
     assert forest.total_length == 6
+
+
+def test_drop_kills_the_handle_and_its_length(forest):
+    s = forest.make_string("abcdef")
+    t = forest.make_string("xy")
+    rotations = forest.stats.rotations
+    forest.drop(s)
+    assert not s.alive
+    assert forest.total_length == 2
+    assert forest.stats.rotations == rotations  # no restructuring
+    assert forest.live_handles() == [t]
+    for call in (lambda: forest.drop(s), lambda: forest.access(s, 1),
+                 lambda: forest.drop(Forest(seed=3).make_string("ab"))):
+        with pytest.raises(HandleError):
+            call()
+    assert full(forest, t) == codes("xy")
+
+
+# --------------------------------------------------------- the power table
+
+def test_power_table_holds_base_powers(forest):
+    s = forest.make_string(range(50))
+    forest.insert(s, 3, 7)
+    forest.introduce(s, 1, forest.make_string("abc"))
+    b, p = forest.cfg.base, forest.cfg.modulus
+    assert len(forest.cfg.pw) == s.length + 1
+    assert all(w == pow(b, k, p) for k, w in enumerate(forest.cfg.pw))
+
+
+def test_strings_longer_than_any_before_match_oracle():
+    # The table grows with the longest string, never with the total, and
+    # every insert or introduce that passes the longest string reserves
+    # before it links; queries on the longer strings agree with the oracle.
+    rng = random.Random(12)
+    forest, oracle = Forest(seed=12, involution=DNA), OracleForest(
+        involution=DNA)
+    pairs = [(forest.make_string(w, mode), oracle.make_string(w, mode))
+             for w, mode in (("ACG", CIRCULAR), ("TTA", LINEAR),
+                             ("GA", CIRCULAR), ("C", LINEAR))]
+    longest = 3
+    for step in range(60):
+        (s, o), (s2, o2) = rng.sample(pairs, 2)
+        if step % 3 == 0 and s2.length:
+            i = rng.randint(1, s.length + 1)
+            forest.introduce(s, i, s2)
+            oracle.introduce(o, i, o2)
+            pairs.remove((s2, o2))
+            w = [rng.choice(codes("ACGT")) for _ in range(rng.randint(1, 4))]
+            mode = rng.choice([LINEAR, CIRCULAR])
+            pairs.append((forest.make_string(w, mode),
+                          oracle.make_string(w, mode)))
+        else:
+            c = rng.choice(codes("ACGT"))
+            i = rng.randint(1, s.length + 1)
+            forest.insert(s, i, c)
+            oracle.insert(o, i, c)
+        longest = max(longest, s.length)
+        assert len(forest.cfg.pw) == longest + 1
+        assert forest.total_length > longest or len(pairs) == 1
+        for a, b in pairs:
+            sc.verify_tree(a.tree.root, forest.cfg)
+            assert full(forest, a) == b.symbols
+        (s, o), (s2, o2) = rng.sample(pairs, 2)
+        i1, i2 = rng.randint(1, s.length), rng.randint(1, s2.length)
+        assert forest.lcp(s, i1, s2, i2) == oracle.lcp(o, i1, o2, i2)
+        l = rng.randint(0, min(s.length - i1, s2.length - i2) + 1)
+        assert forest.equal(s, i1, s2, i2, l) == oracle.equal(o, i1, o2, i2, l)
+        if s.mode == s2.mode == CIRCULAR:
+            assert forest.lcp_omega(s, i1, s2, i2) == \
+                oracle.lcp_omega(o, i1, o2, i2)

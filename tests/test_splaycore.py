@@ -55,9 +55,10 @@ def ancestor_count(node):
 def test_leaf_node_conventions():
     cfg = make_cfg(DNA)
     x = sc.Node(ord("A"))
-    sc.pull(x, cfg.base, cfg.modulus, cfg.fmap)
+    sc.pull(x, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
     assert x.size == 1
-    assert x.power == cfg.base
+    cfg.reserve(x.size)
+    assert cfg.pw[x.size] == cfg.base
     assert x.fp == ord("A")
     assert x.fprev == ord("A")
     # pull leaves the mapped pair stale; refresh_mapped fills it in
@@ -71,13 +72,14 @@ def test_leaf_node_conventions():
 def test_pull_without_involution_aliases_mapped_pair():
     cfg = make_cfg()
     x = sc.Node(ord("A"))
-    sc.pull(x, cfg.base, cfg.modulus, cfg.fmap)
+    sc.pull(x, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
     assert (x.mfp, x.mfprev) == (x.fp, x.fprev) == (ord("A"), ord("A"))
     assert sc.refresh_mapped(x, cfg) == 0
 
 
 def test_pull_three_node_tree_matches_eval():
     cfg = make_cfg()
+    cfg.reserve(3)
     mid = sc.Node(2)
     l = sc.Node(1)
     r = sc.Node(3)
@@ -85,10 +87,31 @@ def test_pull_three_node_tree_matches_eval():
     mid.right = r
     l.parent = r.parent = mid
     for n in (l, r, mid):
-        sc.pull(n, cfg.base, cfg.modulus, cfg.fmap)
+        sc.pull(n, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
     assert mid.fp == CTX.eval([1, 2, 3]).fp
     assert mid.fprev == CTX.eval([3, 2, 1]).fp
-    assert mid.power == CTX.eval([1, 2, 3]).power
+    assert cfg.pw[mid.size] == CTX.eval([1, 2, 3]).power
+
+
+def test_reserve_extends_the_power_table():
+    cfg = make_cfg()
+    assert cfg.pw == [1]
+    cfg.reserve(5)
+    cfg.reserve(3)  # never shrinks
+    cfg.reserve(17)
+    assert cfg.pw == [pow(CTX.base, k, CTX.modulus) for k in range(18)]
+
+
+def test_verify_tree_rejects_a_short_or_wrong_power_table():
+    tree, cfg, stats = make_tree(range(20), shuffle_seed=4)
+    sc.verify_tree(tree.root, cfg)
+    short = make_cfg()
+    short.reserve(19)
+    with pytest.raises(AssertionError, match="power table covers"):
+        sc.verify_tree(tree.root, short)
+    cfg.pw[7] += 1
+    with pytest.raises(AssertionError, match="power table"):
+        sc.verify_tree(tree.root, cfg)
 
 
 def test_fix_is_noop_on_clear_flags():
@@ -163,15 +186,16 @@ def test_splay_on_root_is_noop():
 
 def left_spine(symbols, cfg):
     """Build a left spine: deepest node holds the first symbol."""
+    cfg.reserve(len(symbols))
     stats = sc.TreeStats()
     root = None
     for c in symbols:
         node = sc.Node(c)
-        sc.pull(node, cfg.base, cfg.modulus, cfg.fmap)
+        sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
         if root is not None:
             node.left = root
             root.parent = node
-        sc.pull(node, cfg.base, cfg.modulus, cfg.fmap)
+        sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
         root = node
     return sc.Tree(root), stats
 
@@ -312,8 +336,9 @@ def test_isolate_attach_point_between_ranks():
         slot = getattr(point.parent, point.side)
         assert slot is sc.NULL
         # splicing a fresh node there lands at rank i
+        cfg.reserve(tree.size + 1)
         node = sc.Node(99)
-        sc.pull(node, cfg.base, cfg.modulus, cfg.fmap)
+        sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
         sc.attach(point, node, cfg, tree)
         want = symbols[:i - 1] + [99] + symbols[i - 1:]
         assert content(tree, cfg) == want
@@ -349,6 +374,7 @@ def test_join_with_empty_sides():
 def test_join_concatenates():
     t1, cfg, stats = make_tree(codes("ab"))
     t2, _, _ = make_tree(codes("cd"))
+    cfg.reserve(4)
     root = sc.join(t1.root, t2.root, cfg, stats)
     assert sc.logical_symbols(root, None) == codes("abcd")
     sc.verify_tree(root, cfg)
@@ -360,6 +386,7 @@ def test_join_concatenates():
 def test_join_matches_list_concatenation(a, b):
     cfg = make_cfg()
     stats = sc.TreeStats()
+    cfg.reserve(len(a) + len(b))
     root = sc.join(sc.build_balanced(a, cfg), sc.build_balanced(b, cfg),
                    cfg, stats)
     assert sc.logical_symbols(root, None) == a + b
