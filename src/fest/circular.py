@@ -14,16 +14,20 @@ position 1.  Rotations never change the canonical string.
 "Unrolled" queries treat a string as its infinite self-concatenation.  By
 the periodicity bound, two unrollings agreeing on their first
 |s1| + |s2| - gcd(|s1|, |s2|) symbols agree forever, so every unrolled
-comparison is capped at cap_length = |s1| + |s2|.
+comparison is capped at cap_length = |s1| + |s2|.  An unrolled prefix is
+fingerprinted in place from at most two stored slices per copy and a
+geometric sum over the copies (`_omega_fp`); it never re-rotates, so both
+operands may be one string.  `lcp_omega` runs the linear lcp's pipeline
+(`compare.lcp_pipeline`) with the cap as its full length.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import partial
 
 from . import splaycore as sc
-from .compare import LcpProbes, Order, ceil_pow_two_thirds, \
-    exponential_search, order_of, squaring_upper_bound
+from .compare import LcpProbes, Order, lcp_pipeline
 from .errors import RangeError, UsageError
 from .fingerprint import Fp
 
@@ -186,18 +190,9 @@ def circular_fp(forest, s, i: int, j: int) -> Fp:
         raise RangeError("empty string has no wrapped ranges")
     if not (1 <= i <= n + 1 and 0 <= j <= n and j < i):
         raise RangeError(f"wrapped range ({i}, {j}) invalid for size {n}")
-    p = forest.cfg.modulus
-    if i <= n:
-        f_head, p_head = forest._tree_range_fp_power(s.tree, i, n)
-    else:
-        f_head, p_head = 0, 1
-    if j >= 1:
-        f_tail, p_tail = forest._tree_range_fp_power(s.tree, 1, j)
-    else:
-        f_tail, p_tail = 0, 1
-    return Fp((f_head * p_tail + f_tail) % p,
-              p_head * p_tail % p,
-              (n - i + 1) + j)
+    length = (n - i + 1) + j
+    fp, power = _slice_fp(forest, s, (i - 1) % n + 1, length)
+    return Fp(fp, power, length)
 
 
 def _slice_fp(forest, s, q: int, length: int) -> tuple[int, int]:
@@ -214,11 +209,10 @@ def _slice_fp(forest, s, q: int, length: int) -> tuple[int, int]:
     return (f_head * p_tail + f_tail) % p, p_head * p_tail % p
 
 
-def _omega_fp_spliced(forest, s, i: int, length: int) -> int:
+def _omega_fp(forest, s, i: int, length: int) -> int:
     """Fingerprint of the unrolled string from canonical i, via seam splices.
 
-    Never moves the rotation, so it is safe when both probe targets live in
-    the same tree.
+    Never moves the rotation, so both probe targets may live in one tree.
     """
     n = s.tree.size
     q = (i - s.start) % n + 1
@@ -230,40 +224,6 @@ def _omega_fp_spliced(forest, s, i: int, length: int) -> int:
     p = forest.cfg.modulus
     geo = forest.ctx.geomsum(turn_power, copies - 1)
     return (turn_fp * geo % p * part_power + part_fp) % p
-
-
-def _omega_fp_rotated(forest, s, i: int, length: int) -> int:
-    """Fingerprint of the unrolled string from canonical i, via rotation.
-
-    Rotates the conjugate beginning at i to the stored front, reads whole-
-    tree aggregates, then rotates back.
-    """
-    old_start = s.start
-    rotate_to_front(forest, s, i)
-    root = s.tree.root
-    sc.fix(root, forest.cfg.fmap, forest.stats)
-    n = root.size
-    copies, part = divmod(length, n)
-    turn_fp = root.fp
-    turn_power = forest.cfg.pw[n]
-    if part:
-        part_fp, part_power = forest._tree_range_fp_power(s.tree, 1, part)
-    else:
-        part_fp, part_power = 0, 1
-    p = forest.cfg.modulus
-    if copies == 0:
-        out = part_fp
-    else:
-        geo = forest.ctx.geomsum(turn_power, copies - 1)
-        out = (turn_fp * geo % p * part_power + part_fp) % p
-    rotate_to_front(forest, s, old_start)
-    return out
-
-
-def _omega_fp(forest, s, i, length, same_pair: bool) -> int:
-    if same_pair:
-        return _omega_fp_spliced(forest, s, i, length)
-    return _omega_fp_rotated(forest, s, i, length)
 
 
 # ------------------------------------------------------- unrolled queries
@@ -282,9 +242,8 @@ def equal_omega(forest, s1, i1: int, s2, i2: int, l: int) -> bool:
     if l == 0:
         return True
     l = min(l, cap_length(s1, s2))
-    same = s1 is s2
-    k1 = _omega_fp(forest, s1, i1, l, same)
-    k2 = _omega_fp(forest, s2, i2, l, same)
+    k1 = _omega_fp(forest, s1, i1, l)
+    k2 = _omega_fp(forest, s2, i2, l)
     forest.stats.equal_tests += 1
     return k1 == k2
 
@@ -302,9 +261,8 @@ def equal_omega_omega(forest, s1, i1: int, l1: int,
     _check_pos(s2, i2)
     if l1 < 1 or l2 < 1:
         raise RangeError("window lengths must be at least 1")
-    same = s1 is s2
-    k1 = _omega_fp(forest, s1, i1, l1, same)
-    k2 = _omega_fp(forest, s2, i2, l2, same)
+    k1 = _omega_fp(forest, s1, i1, l1)
+    k2 = _omega_fp(forest, s2, i2, l2)
     ctx = forest.ctx
     p = ctx.modulus
     d1 = pow(ctx.base, l1, p)
@@ -320,43 +278,12 @@ def _omega_symbol(forest, s, i: int, t: int) -> int:
     return forest.access(s, (i + t - 2) % n + 1)
 
 
-class _OmegaSide:
-    """One probe target for the unrolled suffix search.
-
-    Extracts a working window when the probe range is one physical tree
-    range (distinct handles, window within one stored span); otherwise
-    probes the original string through seam splices.
-    """
-
-    def __init__(self, forest, s, i: int, size: int, allow_extract: bool):
-        self.forest = forest
-        self.s = s
-        self.i = i
-        n = s.tree.size
-        self.window = None
-        if allow_extract and size <= n:
-            a = (i - s.start) % n + 1
-            if a + size - 1 <= n:
-                self.stored_at = a
-                self.window = forest._extract_window(s.tree, a, a + size - 1)
-
-    def prefix_fp(self, t: int) -> int:
-        if self.window is not None:
-            return self.forest._tree_range_fp(self.window, 1, t)
-        return _omega_fp_spliced(self.forest, self.s, self.i, t)
-
-    def put_back(self) -> None:
-        if self.window is not None:
-            self.forest._reintroduce_window(self.s.tree, self.stored_at,
-                                            self.window)
-            self.window = None
-
-
 def lcp_omega(forest, s1, i1: int, s2, i2: int):
     """Longest common prefix of two unrolled strings, plus their order.
 
     Returns (INFINITE, EQUAL) when the unrollings coincide; otherwise the
-    finite length (strictly below |s1| + |s2|) and the strict order.
+    finite length (strictly below |s1| + |s2|) and the strict order.  Runs
+    the linear lcp's pipeline with the cap as its full length and total.
     """
     _require_circular(s1)
     _require_circular(s2)
@@ -368,70 +295,18 @@ def lcp_omega(forest, s1, i1: int, s2, i2: int):
     rec = LcpProbes()
     forest.stats.lcp_calls += 1
     forest.stats.last_lcp = rec
-    same = s1 is s2
 
-    def eq_at(t):
-        return _omega_fp_spliced(forest, s1, i1, t) \
-            == _omega_fp_spliced(forest, s2, i2, t)
+    def side(s, i):
+        a = (i - s.start) % s.tree.size + 1
+        return s, a, partial(_omega_fp, forest, s, i)
 
-    rec.border += 1
-    if eq_at(cap):
+    def symbols(t):
+        return (_omega_symbol(forest, s1, i1, t),
+                _omega_symbol(forest, s2, i2, t))
+
+    out = lcp_pipeline(forest, (side(s1, i1), side(s2, i2)), cap, cap,
+                       symbols, rec)
+    if out is None:
         return INFINITE, Order.EQUAL
-    two_equal = False
-    if cap > 2:
-        rec.border += 1
-        two_equal = eq_at(2)
-    if not two_equal:
-        a = _omega_symbol(forest, s1, i1, 1)
-        b = _omega_symbol(forest, s2, i2, 1)
-        if a != b:
-            result = 0, order_of(a, b)
-        else:
-            result = 1, order_of(_omega_symbol(forest, s1, i1, 2),
-                                 _omega_symbol(forest, s2, i2, 2))
-        forest.stats.lcp_squaring_probes += rec.squaring
-        return result
-
-    mid_scale = 1 << ceil_pow_two_thirds(cap)
-    if mid_scale >= cap:
-        mid_scale = cap
-        mid_equal = False
-    else:
-        rec.threshold += 1
-        mid_equal = eq_at(mid_scale)
-    # Extracted windows go back in `finally`, as in Forest._lcp_impl.
-    if mid_equal:
-        upper = squaring_upper_bound(eq_at, cap, rec)
-    else:
-        sides = _make_sides(forest, s1, i1, s2, i2, mid_scale, same)
-        try:
-            upper = squaring_upper_bound(
-                lambda t: sides[0].prefix_fp(t) == sides[1].prefix_fp(t),
-                mid_scale, rec)
-        finally:
-            for side in sides:
-                side.put_back()
-
-    sides = _make_sides(forest, s1, i1, s2, i2, upper, same)
-    try:
-        length = exponential_search(
-            lambda t: sides[0].prefix_fp(t) == sides[1].prefix_fp(t),
-            upper, rec)
-    finally:
-        for side in sides:
-            side.put_back()
-
     forest.stats.lcp_squaring_probes += rec.squaring
-    a = _omega_symbol(forest, s1, i1, length + 1)
-    b = _omega_symbol(forest, s2, i2, length + 1)
-    return length, order_of(a, b)
-
-
-def _make_sides(forest, s1, i1, s2, i2, size, same):
-    allow = not same
-    first = _OmegaSide(forest, s1, i1, size, allow)
-    try:
-        return first, _OmegaSide(forest, s2, i2, size, allow)
-    except BaseException:
-        first.put_back()
-        raise
+    return out

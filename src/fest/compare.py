@@ -1,10 +1,18 @@
-"""Comparison results and probe-sequence helpers shared by suffix searches."""
+"""Comparison results and the one lcp pipeline behind `lcp` and `lcp_omega`.
+
+The pipeline compares two probe targets ("sides") by prefix fingerprints:
+border probes, one mid-scale probe, repeated squaring for an upper bound,
+then an exponential search.  The squaring after a mid-scale mismatch and the
+search run inside `Windows`, which extracts each side's probe range into a
+working tree of its own where it can and puts every window back on exit.
+"""
 
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 
 class Order(enum.Enum):
@@ -87,3 +95,113 @@ def exponential_search(eq_at, known_neq: int, rec: LcpProbes) -> int:
         else:
             hi = mid
     return lo
+
+
+def lcp_pipeline(forest, sides, full: int, total: int, symbols,
+                 rec: LcpProbes):
+    """(length, order) of the longest common prefix of two sides, or None
+    when their first `full` symbols agree.
+
+    sides are two (string, stored start, in-place prefix fp) triples, as
+    `Windows` takes them; symbols(t) gives the two sides' t-th symbols.
+    total sets the mid-scale probe, min(2^ceil((log2 total)^(2/3)), full).
+    """
+    (_, _, fp1), (_, _, fp2) = sides
+
+    def eq_at(t):
+        return fp1(t) == fp2(t)
+
+    # Border: the first `full` symbols, then a mismatch within the first two.
+    rec.border += 1
+    if eq_at(full):
+        return None
+    two_equal = False
+    if full > 2:
+        rec.border += 1
+        two_equal = eq_at(2)
+    if not two_equal:
+        a, b = symbols(1)
+        if a != b:
+            return 0, order_of(a, b)
+        return 1, order_of(*symbols(2))
+
+    # A crude upper bound: one mid-scale probe, then repeated squaring, run
+    # inside windows when the probe mismatched.  At mid == full the border
+    # probe already failed, so there is no probe.
+    mid = min(1 << ceil_pow_two_thirds(total), full)
+    mid_equal = False
+    if mid < full:
+        rec.threshold += 1
+        mid_equal = eq_at(mid)
+    if mid_equal:
+        upper = squaring_upper_bound(eq_at, full, rec)
+    else:
+        with Windows(forest, sides, mid) as window_eq:
+            upper = squaring_upper_bound(window_eq, mid, rec)
+    with Windows(forest, sides, upper) as window_eq:
+        length = exponential_search(window_eq, upper, rec)
+    return length, order_of(*symbols(length + 1))
+
+
+class Windows:
+    """Working windows of `size` symbols for both sides of one lcp stage.
+
+    A side is (string, stored start, in-place prefix fp).  A side whose
+    `size` symbols form one stored range is extracted into a window and
+    probed there; otherwise it is probed in place.  Two sides on one tree
+    are extracted only when both fit: overlapping ranges share one window,
+    and of disjoint ones the later is extracted first, so the earlier keeps
+    its stored start.  Entering yields eq_at(t), whether the sides' length-t
+    prefixes match.  Windows go back on exit in reverse order of extraction,
+    so an exception or interrupt raised mid-search leaves no symbol outside
+    its string; if an extraction raises, the windows already taken go back
+    at once.
+    """
+
+    def __init__(self, forest, sides, size: int):
+        self.forest = forest
+        self.sides = sides
+        self.size = size
+        self.taken = []  # (tree, stored start, window), in extraction order
+
+    def __enter__(self):
+        sides = self.sides
+        size = self.size
+        prefix_fp = self.forest._prefix_fp
+        probes = [fp for _, _, fp in sides]
+        (s1, a1, _), (s2, a2, _) = sides
+        fits = [a + size - 1 <= s.tree.size for s, a, _ in sides]
+        try:
+            if s1 is not s2:
+                order = [k for k in (0, 1) if fits[k]]
+            elif not all(fits):
+                order = []
+            elif abs(a1 - a2) < size:  # overlapping: one shared window
+                lo = min(a1, a2)
+                w = self._extract(s1, lo, abs(a1 - a2) + size)
+                probes = [partial(prefix_fp, w, a - lo + 1) for a in (a1, a2)]
+                order = []
+            else:  # disjoint: the later range first
+                order = [0, 1] if a1 > a2 else [1, 0]
+            for k in order:
+                s, a, _ = sides[k]
+                probes[k] = partial(prefix_fp, self._extract(s, a, size), 1)
+        except BaseException:
+            self.__exit__()
+            raise
+        p1, p2 = probes
+
+        def eq_at(t):
+            return p1(t) == p2(t)
+        return eq_at
+
+    def __exit__(self, *exc) -> bool:
+        while self.taken:
+            tree, a, w = self.taken.pop()
+            self.forest._reintroduce_window(tree, a, w)
+        return False
+
+    def _extract(self, s, a: int, length: int):
+        w = self.forest._extract_window(s.tree, a, a + length - 1)
+        self.taken.append((s.tree, a, w))
+        return w

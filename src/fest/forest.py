@@ -10,11 +10,11 @@ A Forest is single-threaded: queries splay, so even reads mutate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import circular as _circ
 from . import splaycore as sc
-from .compare import LcpProbes, Order, ceil_pow_two_thirds, \
-    exponential_search, order_of, squaring_upper_bound
+from .compare import LcpProbes, Order, lcp_pipeline, order_of
 from .errors import DomainError, HandleError, RangeError, UsageError
 from .fingerprint import FingerprintContext
 
@@ -36,16 +36,6 @@ class ForestStats(sc.TreeStats):
     lcp_squaring_probes: int = 0
     mapped_refreshes: int = 0
     last_lcp: LcpProbes | None = None
-
-    def reset(self):
-        self.rotations = 0
-        self.fixes = 0
-        self.finds = 0
-        self.equal_tests = 0
-        self.lcp_calls = 0
-        self.lcp_squaring_probes = 0
-        self.mapped_refreshes = 0
-        self.last_lcp = None
 
 
 class DynString:
@@ -425,71 +415,20 @@ class Forest:
         return result
 
     def _lcp_impl(self, s1, i1, s2, i2, rec) -> tuple[int, Order]:
-        n1 = s1.length
-        n2 = s2.length
-        m1 = n1 - i1 + 1
-        m2 = n2 - i2 + 1
-        min_suffix = min(m1, m2)
-        same = s1 is s2
+        m1 = s1.length - i1 + 1
+        m2 = s2.length - i2 + 1
 
-        def eq_direct(t):
-            a = self._tree_range_fp(s1.tree, i1, i1 + t - 1)
-            b = self._tree_range_fp(s2.tree, i2, i2 + t - 1)
-            return a == b
+        def side(s, i):
+            return s, i, partial(self._prefix_fp, s.tree, i)
 
-        # Border: the shorter suffix is a full prefix of the longer.
-        rec.border += 1
-        if eq_direct(min_suffix):
-            if m1 == m2:
-                return min_suffix, Order.EQUAL
-            return min_suffix, Order.LESS if m1 < m2 else Order.GREATER
-        # Border: mismatch already within the first two symbols.
-        two_equal = False
-        if min_suffix > 2:
-            rec.border += 1
-            two_equal = eq_direct(2)
-        if not two_equal:
-            a = self.access(s1, i1)
-            b = self.access(s2, i2)
-            if a != b:
-                return 0, order_of(a, b)
-            return 1, order_of(self.access(s1, i1 + 1),
-                               self.access(s2, i2 + 1))
+        def symbols(t):
+            return self.access(s1, i1 + t - 1), self.access(s2, i2 + t - 1)
 
-        # Step 1: a crude upper bound via one mid-scale probe, then repeated
-        # squaring (run inside extracted windows when the probe mismatched).
-        total = n1 + n2
-        mid_scale = 1 << ceil_pow_two_thirds(total)
-        if mid_scale >= min_suffix:
-            mid_scale = min_suffix
-            mid_equal = False  # the border probe already failed there
-        else:
-            rec.threshold += 1
-            mid_equal = eq_direct(mid_scale)
-        # The windows go back in `finally`: an exception or interrupt raised
-        # mid-search must not leave symbols outside their strings.
-        if mid_equal:
-            upper = squaring_upper_bound(eq_direct, min_suffix, rec)
-        else:
-            windows = self._take_windows(s1, i1, s2, i2, mid_scale)
-            try:
-                upper = squaring_upper_bound(windows.eq_at, mid_scale, rec)
-            finally:
-                windows.put_back()
-
-        # Steps 2-4: search inside windows of the certified bound, restore.
-        windows = self._take_windows(s1, i1, s2, i2, upper)
-        try:
-            length = exponential_search(windows.eq_at, upper, rec)
-        finally:
-            windows.put_back()
-
-        a = self.access(s1, i1 + length)
-        b = self.access(s2, i2 + length)
-        return length, order_of(a, b)
-
-    def _take_windows(self, s1, i1, s2, i2, size) -> "_Windows":
-        return _Windows(self, s1, i1, s2, i2, size)
+        out = lcp_pipeline(self, (side(s1, i1), side(s2, i2)), min(m1, m2),
+                           s1.length + s2.length, symbols, rec)
+        if out is None:  # the shorter suffix is a prefix of the longer
+            return min(m1, m2), order_of(m1, m2)
+        return out
 
     # ----------------------------------------------------------- internals
 
@@ -504,7 +443,7 @@ class Forest:
             if not (1 <= i and i + l - 1 <= s.length):
                 raise RangeError(
                     f"range [{i}, {i + l - 1}] outside [1, {s.length}]")
-            a, b = i, i + l - 1
+            a = i
         else:
             n = s.length
             if not 1 <= i <= n:
@@ -512,11 +451,12 @@ class Forest:
             if l > n:
                 raise RangeError(f"range length {l} exceeds circle size {n}")
             j = (i - 1 + l - 1) % n + 1
-            a, b = _circ.resolve_range(self, s, i, j)
-        return self._tree_range_fp(s.tree, a, b)
+            a, _ = _circ.resolve_range(self, s, i, j)
+        return self._prefix_fp(s.tree, a, l)
 
-    def _tree_range_fp(self, tree, a, b) -> int:
-        y = sc.isolate(tree, a, b, self.cfg, self.stats)
+    def _prefix_fp(self, tree, a, t) -> int:
+        """Fingerprint of the t symbols from stored position a."""
+        y = sc.isolate(tree, a, a + t - 1, self.cfg, self.stats)
         return y.fp
 
     def _tree_range_fp_power(self, tree, a, b) -> tuple[int, int]:
@@ -531,58 +471,3 @@ class Forest:
     def _reintroduce_window(self, tree, pos, window: sc.Tree) -> None:
         point = sc.isolate(tree, pos, pos - 1, self.cfg, self.stats)
         sc.attach(point, window.root, self.cfg, tree)
-
-
-class _Windows:
-    """Working windows for the suffix search: extracted range copies.
-
-    Handles the same-string overlapping case with one combined window, the
-    same-string disjoint case with extraction order that keeps coordinates
-    stable, and the two-string case.  put_back() restores both strings; if
-    the second extraction raises, the first window is put back at once.
-    """
-
-    def __init__(self, forest: Forest, s1, i1, s2, i2, size):
-        self.forest = forest
-        self.s1 = s1
-        self.i1 = i1
-        self.s2 = s2
-        self.i2 = i2
-        self.size = size
-        self.overlap = s1 is s2 and i1 + size > i2
-        if self.overlap:
-            self.delta = i2 - i1
-            self.w = forest._extract_window(s1.tree, i1, i2 + size - 1)
-        elif s1 is s2:
-            self.w2, self.w1 = self._take_two(s2, i2, s1, i1)
-        else:
-            self.w1, self.w2 = self._take_two(s1, i1, s2, i2)
-
-    def _take_two(self, sa, ia, sb, ib):
-        """Extract a then b; if b raises, a goes back before re-raising."""
-        f = self.forest
-        size = self.size
-        wa = f._extract_window(sa.tree, ia, ia + size - 1)
-        try:
-            return wa, f._extract_window(sb.tree, ib, ib + size - 1)
-        except BaseException:
-            f._reintroduce_window(sa.tree, ia, wa)
-            raise
-
-    def eq_at(self, t: int) -> bool:
-        f = self.forest
-        if self.overlap:
-            a = f._tree_range_fp(self.w, 1, t)
-            b = f._tree_range_fp(self.w, self.delta + 1, self.delta + t)
-        else:
-            a = f._tree_range_fp(self.w1, 1, t)
-            b = f._tree_range_fp(self.w2, 1, t)
-        return a == b
-
-    def put_back(self) -> None:
-        f = self.forest
-        if self.overlap:
-            f._reintroduce_window(self.s1.tree, self.i1, self.w)
-        else:
-            f._reintroduce_window(self.s1.tree, self.i1, self.w1)
-            f._reintroduce_window(self.s2.tree, self.i2, self.w2)

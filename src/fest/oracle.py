@@ -57,7 +57,7 @@ def _as_symbols(w) -> list[int]:
 class OracleForest:
     """Reference semantics for every public operation, on plain arrays."""
 
-    def __init__(self, seed: int = 0, involution=None, audit: bool = False):
+    def __init__(self, involution=None):
         self.fmap = None if involution is None else \
             validate_involution(involution)
         self._strings: dict[int, OracleString] = {}

@@ -7,7 +7,7 @@ import pytest
 
 from fest import CIRCULAR, LINEAR, Forest, HandleError, Order, RangeError, \
     UsageError
-from fest import circular as fest_circular
+from fest import compare as fest_compare
 from fest import forest as fest_forest
 from fest import splaycore as sc
 from fest.oracle import OracleForest
@@ -502,7 +502,9 @@ def _lcp_fault_case(case):
     """(forest, oracle, query name, args for both) for one fault scenario."""
     rng = random.Random(30)
     forest, oracle = Forest(seed=30), OracleForest()
-    mode = CIRCULAR if case == "omega-lcp-10" else LINEAR
+    if case.startswith("omega-"):
+        same, i1, i2 = _OMEGA_FAULT_CASES[case]
+        return _omega_fault_case(rng, forest, oracle, same, i1, i2)
     if case.startswith("same-"):
         if case == "same-overlap":
             w, i2 = ([1, 2, 3] * 200)[:599] + [9], 4
@@ -511,23 +513,45 @@ def _lcp_fault_case(case):
             w, i2 = half + half[:10] + [half[10] ^ 1] + half[11:], 301
         s, o = forest.make_string(w), oracle.make_string(w)
         return forest, oracle, "lcp", (s, 1, s, i2), (o, 1, o, i2)
-    n, at = {"linear-301": (600, 301), "linear-11": (600, 11),
-             "omega-lcp-10": (700, 11)}[case]
-    w1 = [rng.randrange(4) for _ in range(n)]
+    at = {"linear-301": 301, "linear-11": 11}[case]
+    w1 = [rng.randrange(4) for _ in range(600)]
     w2 = list(w1)
     w2[at - 1] = (w1[at - 1] + 1) % 4
-    s1, s2 = forest.make_string(w1, mode), forest.make_string(w2, mode)
-    o1, o2 = oracle.make_string(w1, mode), oracle.make_string(w2, mode)
-    name = "lcp_omega" if mode == CIRCULAR else "lcp"
-    return forest, oracle, name, (s1, 1, s2, 1), (o1, 1, o2, 1)
+    s1, s2 = forest.make_string(w1), forest.make_string(w2)
+    o1, o2 = oracle.make_string(w1), oracle.make_string(w2)
+    return forest, oracle, "lcp", (s1, 1, s2, 1), (o1, 1, o2, 1)
+
+
+#: case -> (one string?, i1, i2) for lcp_omega on 700-symbol strings whose
+#: unrollings from i1 and i2 agree on exactly 10 symbols.  The squaring then
+#: runs in 32-symbol windows and the search in 16-symbol ones.  From 680 the
+#: squaring's range crosses the seam, so that side is probed in place while
+#: the other is extracted; at a shift of 20 the squaring's ranges overlap
+#: and share one window, and the search's are disjoint.
+_OMEGA_FAULT_CASES = {"omega-lcp-10": (False, 1, 1),
+                      "omega-seam": (False, 680, 1),
+                      "omega-same-overlap": (True, 1, 21),
+                      "omega-same-disjoint": (True, 1, 301)}
+
+
+def _omega_fault_case(rng, forest, oracle, same, i1, i2):
+    w1 = [rng.randrange(4) for _ in range(700)]
+    w2 = w1 if same else [rng.randrange(4) for _ in range(700)]
+    w1[i1 - 1:i1 + 9] = w2[i2 - 1:i2 + 9]
+    w1[i1 + 9] = w2[i2 + 9] ^ 1
+    s1, o1 = forest.make_string(w1, CIRCULAR), oracle.make_string(w1, CIRCULAR)
+    s2, o2 = (s1, o1) if same else (forest.make_string(w2, CIRCULAR),
+                                    oracle.make_string(w2, CIRCULAR))
+    return forest, oracle, "lcp_omega", (s1, i1, s2, i2), (o1, i1, o2, i2)
 
 
 @pytest.mark.parametrize("case", ["linear-301", "linear-11", "same-overlap",
-                                  "same-disjoint", "omega-lcp-10"])
+                                  "same-disjoint", *_OMEGA_FAULT_CASES])
 def test_lcp_restores_strings_after_a_fault(monkeypatch, case):
     # The k-th fault point raises, for every k until the query completes.
     # Fault points are the probes made through squaring_upper_bound or
-    # exponential_search and every window extraction.
+    # exponential_search, which the lcp pipeline looks up in fest.compare,
+    # and every window extraction.
     forest, oracle, name, args, oracle_args = _lcp_fault_case(case)
     want = getattr(oracle, name)(*oracle_args)
     before = {s.id: full(forest, s) for s in forest.live_handles()}
@@ -553,9 +577,9 @@ def test_lcp_restores_strings_after_a_fault(monkeypatch, case):
         tick()
         return extract(self, tree, a, b)
 
-    module = fest_circular if name == "lcp_omega" else fest_forest
     for helper in ("squaring_upper_bound", "exponential_search"):
-        monkeypatch.setattr(module, helper, faulty(getattr(module, helper)))
+        monkeypatch.setattr(fest_compare, helper,
+                            faulty(getattr(fest_compare, helper)))
     monkeypatch.setattr(fest_forest.Forest, "_extract_window", faulty_extract)
     while True:
         fault_at[0] += 1
