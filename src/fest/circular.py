@@ -289,12 +289,12 @@ def lcp_omega(forest, s1, i1: int, s2, i2: int):
     _require_circular(s2)
     _check_pos(s1, i1)
     _check_pos(s2, i2)
-    if s1 is s2 and i1 == i2:
-        return INFINITE, Order.EQUAL
-    cap = cap_length(s1, s2)
     rec = LcpProbes()
     forest.stats.lcp_calls += 1
     forest.stats.last_lcp = rec
+    if s1 is s2 and i1 == i2:
+        return INFINITE, Order.EQUAL
+    cap = cap_length(s1, s2)
 
     def side(s, i):
         a = (i - s.start) % s.tree.size + 1

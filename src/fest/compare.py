@@ -2,9 +2,12 @@
 
 The pipeline compares two probe targets ("sides") by prefix fingerprints:
 border probes, one mid-scale probe, repeated squaring for an upper bound,
-then an exponential search.  The squaring after a mid-scale mismatch and the
-search run inside `Windows`, which extracts each side's probe range into a
-working tree of its own where it can and puts every window back on exit.
+then an exponential search.  Each stage starts from the longest length the
+earlier ones showed equal and stops below the shortest they showed unequal,
+so no length is probed twice.  The search, and the squaring after a
+mid-scale mismatch, run inside `Windows`, which extracts each side's probe
+range into a working tree of its own where it can and puts every window
+back on exit.
 """
 
 from __future__ import annotations
@@ -59,26 +62,33 @@ def ceil_pow_two_thirds(n: int) -> int:
     return max(1, math.ceil(math.log2(n) ** (2.0 / 3.0)))
 
 
-def squaring_upper_bound(eq_at, cap: int, rec: LcpProbes) -> int:
-    """First length of the squaring sequence (2, 4, 16, ...) that mismatches.
+def squaring_upper_bound(eq_at, lo: int, cap: int, rec: LcpProbes):
+    """(lo, upper): the longest length known equal, and the first length of
+    the squaring sequence 2, 4, 16, ... that mismatches, capped at cap.
 
-    eq_at(cap) must be False, which guarantees termination; the result is a
+    eq_at(lo) must hold and eq_at(cap) must not, so lengths up to lo and cap
+    itself are never probed; each equal probe raises lo.  upper is a
     certified upper bound on the match length because a mismatch verdict is
     never wrong.
     """
     length = 2
     while True:
-        length = min(cap, length * length)
-        rec.squaring += 1
-        if not eq_at(length) or length == cap:
-            return length
+        length *= length
+        if length >= cap:
+            return lo, cap
+        if length > lo:
+            rec.squaring += 1
+            if not eq_at(length):
+                return lo, length
+            lo = length
 
 
-def exponential_search(eq_at, known_neq: int, rec: LcpProbes) -> int:
-    """Largest t with eq_at(t), given eq_at(2) holds and eq_at(known_neq) not."""
-    lo = 2
-    hi = known_neq
-    t = 4
+def exponential_search(eq_at, lo: int, hi: int, rec: LcpProbes) -> int:
+    """Largest t with eq_at(t), given eq_at(lo) holds and eq_at(hi) not.
+
+    Doubles from 2·lo to bracket the answer, then bisects the bracket.
+    """
+    t = 2 * lo
     while t < hi:
         rec.search += 1
         if eq_at(t):
@@ -125,26 +135,31 @@ def lcp_pipeline(forest, sides, full: int, total: int, symbols,
             return 0, order_of(a, b)
         return 1, order_of(*symbols(2))
 
-    # A crude upper bound: one mid-scale probe, then repeated squaring, run
-    # inside windows when the probe mismatched.  At mid == full the border
-    # probe already failed, so there is no probe.
+    # A crude upper bound: one mid-scale probe, then repeated squaring from
+    # the longest length known equal.  After a match the squaring runs in
+    # place up to `full` and the search in windows of its bound; after a
+    # mismatch both run in one set of windows of `mid` symbols, which hold
+    # every range the search probes.  At mid == full the border probe
+    # already failed, so there is no probe.
     mid = min(1 << ceil_pow_two_thirds(total), full)
     mid_equal = False
     if mid < full:
         rec.threshold += 1
         mid_equal = eq_at(mid)
     if mid_equal:
-        upper = squaring_upper_bound(eq_at, full, rec)
+        lo, upper = squaring_upper_bound(eq_at, mid, full, rec)
     else:
-        with Windows(forest, sides, mid) as window_eq:
-            upper = squaring_upper_bound(window_eq, mid, rec)
+        upper = mid
     with Windows(forest, sides, upper) as window_eq:
-        length = exponential_search(window_eq, upper, rec)
+        if not mid_equal:
+            lo, upper = squaring_upper_bound(window_eq, 2, mid, rec)
+        length = exponential_search(window_eq, lo, upper, rec)
     return length, order_of(*symbols(length + 1))
 
 
 class Windows:
-    """Working windows of `size` symbols for both sides of one lcp stage.
+    """Working windows of `size` symbols for both sides of an lcp's squaring
+    and search.
 
     A side is (string, stored start, in-place prefix fp).  A side whose
     `size` symbols form one stored range is extracted into a window and

@@ -429,6 +429,17 @@ def test_lcp_omega_same_handle_matches_oracle(forest):
         assert canonical(forest, s) == w
 
 
+def test_lcp_omega_same_position_counts_as_an_lcp(forest):
+    # like Forest.lcp's own shortcut, it counts a call with no probes
+    a = forest.make_string("abcab", mode=CIRCULAR)
+    b = forest.make_string("abd", mode=CIRCULAR)
+    forest.lcp_omega(a, 1, b, 1)
+    assert forest.stats.last_lcp.total > 0
+    assert forest.lcp_omega(a, 3, a, 3) == (INFINITE, Order.EQUAL)
+    assert forest.stats.lcp_calls == 2
+    assert forest.stats.last_lcp.total == 0
+
+
 def test_omega_ops_require_circular(forest):
     lin = forest.make_string("ab")
     circ = forest.make_string("ab", mode=CIRCULAR)

@@ -2,11 +2,13 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from fest import CIRCULAR, LINEAR, Forest, HandleError, Order, RangeError, \
     UsageError
+from fest import circular as fest_circular
 from fest import compare as fest_compare
 from fest import forest as fest_forest
 from fest import splaycore as sc
@@ -474,6 +476,74 @@ def test_lcp_squaring_probe_budget_sweep(forest):
             (length, forest.stats.last_lcp)
 
 
+def _record_probe_lengths(monkeypatch):
+    """Log the length of every prefix fingerprint an lcp takes, one entry per
+    side, in place or in a window."""
+    lengths = []
+    prefix_fp = fest_forest.Forest._prefix_fp
+    omega_fp = fest_circular._omega_fp
+
+    def logged_prefix_fp(self, tree, a, t):
+        lengths.append(t)
+        return prefix_fp(self, tree, a, t)
+
+    def logged_omega_fp(forest, s, i, length):
+        lengths.append(length)
+        return omega_fp(forest, s, i, length)
+
+    monkeypatch.setattr(fest_forest.Forest, "_prefix_fp", logged_prefix_fp)
+    monkeypatch.setattr(fest_circular, "_omega_fp", logged_omega_fp)
+    return lengths
+
+
+def _check_probed_once(forest, lengths, query, args, want):
+    lengths.clear()
+    assert query(*args) == want
+    twice = {t for t, k in Counter(lengths).items() if k != 2}
+    assert not twice, (want, sorted(lengths))
+    rec = forest.stats.last_lcp
+    if want[0] >= 2:
+        assert rec.squaring + rec.search \
+            <= 2 * math.ceil(math.log2(want[0] + 1)), (want, rec)
+
+
+def test_lcp_never_probes_a_length_twice(monkeypatch):
+    # Each stage starts from the longest length known equal and stops below
+    # the shortest known unequal, so every length is probed once, by one
+    # fingerprint per side.
+    forest, oracle = Forest(seed=13), OracleForest()
+    lengths = _record_probe_lengths(monkeypatch)
+    rng = random.Random(13)
+    for length in [*range(1, 301), *rng.sample(range(301, 5001), 30)]:
+        shared = [rng.randrange(256) for _ in range(length)]
+        w1 = shared + [1] + [rng.randrange(256)
+                             for _ in range(rng.randrange(40))]
+        w2 = shared + [2] + [rng.randrange(256)
+                             for _ in range(rng.randrange(40))]
+        s1, s2 = forest.make_string(w1), forest.make_string(w2)
+        _check_probed_once(forest, lengths, forest.lcp, (s1, 1, s2, 1),
+                           (length, Order.LESS))
+        forest.drop(s1)
+        forest.drop(s2)
+    for same, i1, i2 in [(False, 1, 1), (False, 680, 1), (False, 5, 200),
+                         (True, 1, 21), (True, 1, 301), (True, 650, 2)]:
+        for length in (2, 10, 40, 300):
+            w1 = [rng.randrange(256) for _ in range(700)]
+            w2 = w1 if same else [rng.randrange(256) for _ in range(700)]
+            # Copy forwards: on one handle i2 lies ahead of i1, so no symbol
+            # is written after it has been read.
+            for k in range(length + 1):
+                w2[(i2 - 1 + k) % 700] = w1[(i1 - 1 + k) % 700] ^ (k == length)
+            s1 = forest.make_string(w1, CIRCULAR)
+            o1 = oracle.make_string(w1, CIRCULAR)
+            s2, o2 = (s1, o1) if same else (forest.make_string(w2, CIRCULAR),
+                                            oracle.make_string(w2, CIRCULAR))
+            want = oracle.lcp_omega(o1, i1, o2, i2)
+            assert want[0] == length
+            _check_probed_once(forest, lengths, forest.lcp_omega,
+                               (s1, i1, s2, i2), want)
+
+
 def test_deep_spines_never_recurse():
     # descents, traversals, and audits must stay iterative on long spines
     forest = Forest(seed=14)
@@ -523,11 +593,11 @@ def _lcp_fault_case(case):
 
 
 #: case -> (one string?, i1, i2) for lcp_omega on 700-symbol strings whose
-#: unrollings from i1 and i2 agree on exactly 10 symbols.  The squaring then
-#: runs in 32-symbol windows and the search in 16-symbol ones.  From 680 the
-#: squaring's range crosses the seam, so that side is probed in place while
-#: the other is extracted; at a shift of 20 the squaring's ranges overlap
-#: and share one window, and the search's are disjoint.
+#: unrollings from i1 and i2 agree on exactly 10 symbols.  The squaring and
+#: the search then run in the same 32-symbol windows.  From 680 the range
+#: crosses the seam, so that side is probed in place while the other is
+#: extracted; at a shift of 20 the ranges overlap and share one window, and
+#: at a shift of 300 they are disjoint and each is extracted.
 _OMEGA_FAULT_CASES = {"omega-lcp-10": (False, 1, 1),
                       "omega-seam": (False, 680, 1),
                       "omega-same-overlap": (True, 1, 21),
@@ -564,11 +634,11 @@ def test_lcp_restores_strings_after_a_fault(monkeypatch, case):
             raise InjectedFault
 
     def faulty(fn):
-        def patched(eq_at, bound, rec):
+        def patched(eq_at, *args):
             def probe(t):
                 tick()
                 return eq_at(t)
-            return fn(probe, bound, rec)
+            return fn(probe, *args)
         return patched
 
     extract = fest_forest.Forest._extract_window
