@@ -29,7 +29,6 @@ from functools import partial
 from . import splaycore as sc
 from .compare import LcpProbes, Order, lcp_pipeline
 from .errors import RangeError, UsageError
-from .fingerprint import Fp
 
 
 class OmegaLength(enum.Enum):
@@ -178,35 +177,18 @@ def extract_range(forest, s, i: int, j: int) -> tuple[int, int, int]:
 
 # -------------------------------------------------- wrapped fingerprints
 
-def circular_fp(forest, s, i: int, j: int) -> Fp:
-    """Fingerprint of stored[i..] stored[..j] without physical rotation.
-
-    Either part may be empty (i = n+1, or j = 0).  Positions are stored
-    coordinates; used for seam-crossing probes where re-rotating each time
-    would be wasteful.
-    """
-    n = _require_circular(s)
-    if n == 0:
-        raise RangeError("empty string has no wrapped ranges")
-    if not (1 <= i <= n + 1 and 0 <= j <= n and j < i):
-        raise RangeError(f"wrapped range ({i}, {j}) invalid for size {n}")
-    length = (n - i + 1) + j
-    fp, power = _slice_fp(forest, s, (i - 1) % n + 1, length)
-    return Fp(fp, power, length)
-
-
-def _slice_fp(forest, s, q: int, length: int) -> tuple[int, int]:
-    """(fingerprint, power) of the stored circular slice [q, q+length)."""
+def _slice_fp(forest, s, q: int, length: int) -> int:
+    """Fingerprint of the stored circular slice [q, q+length)."""
     if length == 0:
-        return 0, 1
+        return 0
     n = s.tree.size
+    cfg = forest.cfg
     if q + length - 1 <= n:
-        return forest._tree_range_fp_power(s.tree, q, q + length - 1)
-    p = forest.cfg.modulus
-    f_head, p_head = forest._tree_range_fp_power(s.tree, q, n)
-    f_tail, p_tail = forest._tree_range_fp_power(
-        s.tree, 1, length - (n - q + 1))
-    return (f_head * p_tail + f_tail) % p, p_head * p_tail % p
+        return sc.isolate(s.tree, q, q + length - 1, cfg, forest.stats).fp
+    tail = length - (n - q + 1)
+    f_head = sc.isolate(s.tree, q, n, cfg, forest.stats).fp
+    f_tail = sc.isolate(s.tree, 1, tail, cfg, forest.stats).fp
+    return (f_head * cfg.pw[tail] + f_tail) % cfg.modulus
 
 
 def _omega_fp(forest, s, i: int, length: int) -> int:
@@ -217,13 +199,14 @@ def _omega_fp(forest, s, i: int, length: int) -> int:
     n = s.tree.size
     q = (i - s.start) % n + 1
     copies, part = divmod(length, n)
-    part_fp, part_power = _slice_fp(forest, s, q, part)
+    part_fp = _slice_fp(forest, s, q, part)
     if copies == 0:
         return part_fp
-    turn_fp, turn_power = _slice_fp(forest, s, q, n)
-    p = forest.cfg.modulus
-    geo = forest.ctx.geomsum(turn_power, copies - 1)
-    return (turn_fp * geo % p * part_power + part_fp) % p
+    turn_fp = _slice_fp(forest, s, q, n)
+    cfg = forest.cfg
+    p = cfg.modulus
+    geo = forest.ctx.geomsum(cfg.pw[n], copies - 1)
+    return (turn_fp * geo % p * cfg.pw[part] + part_fp) % p
 
 
 # ------------------------------------------------------- unrolled queries

@@ -6,7 +6,7 @@ One command per line, whitespace-separated:
     MAKEN id n c1 .. cn      MAKECN id n c1 .. cn    (numeric codes)
     ACCESS id i              RETRIEVE id i j
     SUB id i c               INS id i c              DEL id i
-    INTRO id1 i id2          EXTRACT id i j newid
+    INTRO id1 i id2          EXTRACT id i j newid    DROP id
     EQUAL id1 i1 id2 i2 l    LCP id1 i1 id2 i2
     REV id i j               MAP id i j              ROTATE id i
     EQW id1 i1 id2 i2 l      EQWW id1 i1 l1 id2 i2 l2
@@ -14,20 +14,26 @@ One command per line, whitespace-separated:
 
 Queries print exactly one line; mutations print nothing.  Character
 arguments (SUB/INS) are a decimal code, or a single non-digit character.
-Blank lines and lines starting with '#' are ignored.
+Blank lines and lines starting with '#' are ignored.  Each verb is one
+`_VERBS` entry naming a method that `Forest` and `OracleForest` share.
 
 With --shadow-oracle every command also runs against the exact reference
-implementation; any divergence aborts with a report of the failing line and
-both states.  Exit codes: 0 ok, 1 parse error, 2 runtime error, 3 shadow
-divergence.
+implementation, failing commands included: both must answer alike or raise
+the same error class, and leave the strings the command names alike.  Any
+divergence aborts with a report of the failing line and both states.
+Fingerprints err only towards "equal", so an equality the oracle denies, or
+an lcp longer than the oracle's, is reported as a fingerprint collision.
+Exit codes: 0 ok, 1 parse error, 2 runtime error, 3 shadow divergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .circular import INFINITE
 from .errors import FestError
@@ -47,10 +53,9 @@ class ScriptError(Exception):
 class ShadowDivergence(Exception):
     """The real implementation and the oracle disagreed."""
 
-    def __init__(self, line_no: int, report: str, collision: bool = False):
+    def __init__(self, line_no: int, report: str):
         super().__init__(f"line {line_no}: {report}")
         self.line_no = line_no
-        self.collision = collision
 
 
 def render_symbols(codes: list[int]) -> str:
@@ -83,14 +88,23 @@ def parse_involution_file(path: str) -> dict:
     return validate_involution(table)
 
 
-def _int(tok: str, line_no: int) -> int:
+# Argument kinds: each turns its token(s) into one method argument.
+
+def _id(runner, tok: str, line_no: int):
+    try:
+        return runner.handles[tok]
+    except KeyError:
+        raise ScriptError(line_no, f"unknown string id {tok!r}")
+
+
+def _int(runner, tok: str, line_no: int) -> int:
     try:
         return int(tok)
     except ValueError:
         raise ScriptError(line_no, f"expected integer, got {tok!r}")
 
 
-def _char(tok: str, line_no: int) -> int:
+def _char(runner, tok: str, line_no: int) -> int:
     if tok.isdigit():
         return int(tok)
     if len(tok) == 1:
@@ -98,17 +112,75 @@ def _char(tok: str, line_no: int) -> int:
     raise ScriptError(line_no, f"expected symbol code or character, got {tok!r}")
 
 
-_ARITY = {
-    "MAKE": 2, "MAKEC": 2, "ACCESS": 2, "RETRIEVE": 3, "SUB": 3, "INS": 3,
-    "DEL": 2, "INTRO": 3, "EXTRACT": 4, "EQUAL": 5, "LCP": 4, "REV": 3,
-    "MAP": 3, "ROTATE": 2, "EQW": 5, "EQWW": 6, "LCPW": 4,
+def _codes(runner, toks: list[str], line_no: int) -> list[int]:
+    """The codes after a count; the arity check has read the count."""
+    return [_int(runner, tok, line_no) for tok in toks]
+
+
+_KINDS = {"id": _id, "int": _int, "sym": _char, "codes": _codes,
+          "lit": lambda runner, tok, line_no: tok}
+
+
+def _truth(got: bool) -> str:
+    return "TRUE" if got else "FALSE"
+
+
+def _lcp_line(got) -> str:
+    length = "INF" if got[0] is INFINITE else got[0]
+    return f"{length} {got[1].value}"
+
+
+def _reach(got) -> float:
+    return math.inf if got[0] is INFINITE else got[0]
+
+
+class _Verb(NamedTuple):
+    method: str        # the same name on Forest and OracleForest
+    kinds: tuple       # one converter per method argument, in order
+    arity: int         # tokens after the verb
+    new: int | None    # token index of the "new" id naming the returned string
+    ids: tuple         # positions of the string-id arguments
+    render: Callable | None        # None: the verb prints nothing
+    one_sided: Callable | None     # how much agreement the answer claims
+    checked: bool      # contents checked under --shadow-oracle on success
+    mode: str | None   # appended to the MAKE family's arguments
+
+
+def _verb(method, kinds, render=None, one_sided=None, checked=True,
+          mode=None) -> _Verb:
+    words = kinds.split()
+    new = words.index("new") if "new" in words else None
+    call = [w for w in words if w != "new"]
+    return _Verb(method, tuple(_KINDS[w] for w in call), len(words), new,
+                 tuple(i for i, w in enumerate(call) if w == "id"),
+                 render, one_sided, checked, mode)
+
+
+# Mutators, and the queries that restructure trees, are `checked`.
+_VERBS = {
+    "MAKE": _verb("make_string", "new lit", mode=LINEAR),
+    "MAKEC": _verb("make_string", "new lit", mode=CIRCULAR),
+    "MAKEN": _verb("make_string", "new codes", mode=LINEAR),
+    "MAKECN": _verb("make_string", "new codes", mode=CIRCULAR),
+    "ACCESS": _verb("access", "id int", lambda c: render_symbols([c]),
+                    checked=False),
+    "RETRIEVE": _verb("retrieve", "id int int", render_symbols,
+                      checked=False),
+    "SUB": _verb("substitute", "id int sym"),
+    "INS": _verb("insert", "id int sym"),
+    "DEL": _verb("delete", "id int"),
+    "INTRO": _verb("introduce", "id int id"),
+    "EXTRACT": _verb("extract", "id int int new"),
+    "DROP": _verb("drop", "id"),
+    "EQUAL": _verb("equal", "id int id int int", _truth, bool, checked=False),
+    "LCP": _verb("lcp", "id int id int", _lcp_line, _reach),
+    "REV": _verb("reverse", "id int int"),
+    "MAP": _verb("map", "id int int"),
+    "ROTATE": _verb("rotate", "id int"),
+    "EQW": _verb("equal_omega", "id int id int int", _truth, bool),
+    "EQWW": _verb("equal_omega_omega", "id int int id int int", _truth, bool),
+    "LCPW": _verb("lcp_omega", "id int id int", _lcp_line, _reach),
 }
-
-_MUTATORS = {"MAKE", "MAKEC", "MAKEN", "MAKECN", "SUB", "INS", "DEL",
-             "INTRO", "EXTRACT", "REV", "MAP", "ROTATE"}
-
-#: Queries that internally restructure and must restore their operands.
-_RESTORING = {"LCP", "LCPW", "EQW", "EQWW"}
 
 
 class ScriptRunner:
@@ -128,53 +200,22 @@ class ScriptRunner:
 
     # ------------------------------------------------------------ plumbing
 
-    def _emit(self, text: str) -> None:
-        if self.out is not None:
-            self.out.write(text + "\n")
-
-    def _handle(self, name: str, line_no: int):
-        try:
-            return self.handles[name]
-        except KeyError:
-            raise ScriptError(line_no, f"unknown string id {name!r}")
-
-    def _both(self, name: str, line_no: int):
-        return self._handle(name, line_no), self.oracle_handles[name]
-
-    def _full(self, s) -> list[int]:
-        n = s.length
-        return self.forest.retrieve(s, 1, n) if n else []
-
-    def _check_contents(self, names, line_no: int, line: str) -> None:
-        if self.oracle is None or not self.check_full:
+    def _check_contents(self, spec, toks, new, line_no: int, line: str):
+        """Raise ShadowDivergence unless the strings the line names (its
+        ids, and `new` unless None) hold the same contents on both sides."""
+        if not self.check_full:
             return
-        for name in names:
+        for name in [toks[pos] for pos in spec.ids] + [new]:
             s = self.handles.get(name)
-            o = self.oracle_handles.get(name)
             if s is None or not s.alive:
                 continue
-            got = self._full(s)
-            want = o.symbols
+            got = self.forest.retrieve(s, 1, s.length) if s.length else []
+            want = self.oracle_handles[name].symbols
             if got != want:
-                raise ShadowDivergence(line_no, self._report(
-                    line, name, got, want))
-
-    def _report(self, line, name, got, want) -> str:
-        return (f"content divergence after {line!r} on {name!r}\n"
-                f"  forest: {got}\n"
-                f"  oracle: {want}")
-
-    def _compare(self, line, line_no, got, want, one_sided: bool = False):
-        if got != want:
-            collision = one_sided and bool(got) and not want
-            if collision:
-                self.collisions += 1
-            raise ShadowDivergence(
-                line_no,
-                f"result divergence on {line!r}: forest={got!r} "
-                f"oracle={want!r}" + (" (fingerprint collision)"
-                                      if collision else ""),
-                collision=collision)
+                raise ShadowDivergence(
+                    line_no, f"content divergence after {line!r} on {name!r}\n"
+                    f"  forest: {got}\n"
+                    f"  oracle: {want}")
 
     # ------------------------------------------------------------- running
 
@@ -187,176 +228,76 @@ class ScriptRunner:
             self.run_line(stripped, line_no)
 
     def run_line(self, line: str, line_no: int) -> None:
-        toks = line.split()
-        verb = toks[0].upper()
-        args = toks[1:]
-        if verb in ("MAKEN", "MAKECN"):
-            if len(args) < 2:
+        verb, *toks = line.split()
+        verb = verb.upper()
+        spec = _VERBS.get(verb)
+        if spec is None:
+            raise ScriptError(line_no, f"unknown command {verb!r}")
+        if spec.kinds[-1] is _codes:
+            if len(toks) < 2:
                 raise ScriptError(line_no, f"{verb} needs an id and a count")
-            count = _int(args[1], line_no)
-            if len(args) != 2 + count:
+            count = _int(self, toks[1], line_no)
+            if len(toks) != 2 + count:
                 raise ScriptError(
-                    line_no, f"{verb} {args[0]}: expected {count} codes, "
-                    f"got {len(args) - 2}")
-        elif verb in _ARITY:
-            if len(args) != _ARITY[verb]:
-                raise ScriptError(
-                    line_no,
-                    f"{verb} takes {_ARITY[verb]} arguments, got {len(args)}")
-        else:
-            raise ScriptError(line_no, f"unknown command {verb!r}")
+                    line_no, f"{verb} {toks[0]}: expected {count} codes, "
+                    f"got {len(toks) - 2}")
+            toks = [toks[0], toks[2:]]
+        elif len(toks) != spec.arity:
+            raise ScriptError(line_no, f"{verb} takes {spec.arity} "
+                              f"arguments, got {len(toks)}")
         self.ops += 1
-        self._dispatch(verb, args, line, line_no)
-        if verb in _MUTATORS or verb in _RESTORING:
-            self._check_contents(self._touched(verb, args), line_no, line)
-
-    def _touched(self, verb, args) -> list[str]:
-        if verb in ("MAKE", "MAKEC", "MAKEN", "MAKECN", "ACCESS", "RETRIEVE",
-                    "SUB", "INS", "DEL", "REV", "MAP", "ROTATE"):
-            return [args[0]]
-        if verb == "INTRO":
-            return [args[0]]
-        if verb == "EXTRACT":
-            return [args[0], args[3]]
-        if verb in ("EQUAL", "LCP"):
-            return [args[0], args[2]]
-        if verb == "EQW":
-            return [args[0], args[2]]
-        if verb == "EQWW":
-            return [args[0], args[3]]
-        if verb == "LCPW":
-            return [args[0], args[2]]
-        return []
-
-    def _make(self, name, symbols, mode, line_no):
-        if name in self.handles:
+        name = None if spec.new is None else toks.pop(spec.new)
+        args = []
+        for kind, tok in zip(spec.kinds, toks):
+            args.append(kind(self, tok, line_no))
+        if name is not None and name in self.handles:
             raise ScriptError(line_no, f"string id {name!r} already exists")
-        self.handles[name] = self.forest.make_string(symbols, mode)
-        if self.oracle is not None:
-            self.oracle_handles[name] = self.oracle.make_string(symbols, mode)
+        if spec.mode is not None:
+            args.append(spec.mode)
+        if self.oracle is None:
+            got = getattr(self.forest, spec.method)(*args)
+        else:
+            got = self._shadow(spec, toks, args, name, line, line_no)
+        if name is not None:
+            self.handles[name] = got
+        if spec.render is not None and self.out is not None:
+            self.out.write(spec.render(got) + "\n")
+        if self.oracle is not None and spec.checked:
+            self._check_contents(spec, toks, name, line_no, line)
 
-    def _dispatch(self, verb, args, line, line_no) -> None:
-        fo = self.forest
-        oc = self.oracle
-        if verb in ("MAKE", "MAKEC"):
-            self._make(args[0], args[1],
-                       CIRCULAR if verb == "MAKEC" else LINEAR, line_no)
-            return
-        if verb in ("MAKEN", "MAKECN"):
-            codes = [_int(t, line_no) for t in args[2:]]
-            self._make(args[0], codes,
-                       CIRCULAR if verb == "MAKECN" else LINEAR, line_no)
-            return
-
-        name = args[0]
-        s = self._handle(name, line_no)
-        o = self.oracle_handles.get(name) if oc is not None else None
-
-        if verb == "ACCESS":
-            i = _int(args[1], line_no)
-            got = fo.access(s, i)
-            if oc is not None:
-                self._compare(line, line_no, got, oc.access(o, i))
-            self._emit(render_symbols([got]))
-        elif verb == "RETRIEVE":
-            i, j = _int(args[1], line_no), _int(args[2], line_no)
-            got = fo.retrieve(s, i, j)
-            if oc is not None:
-                self._compare(line, line_no, got, oc.retrieve(o, i, j))
-            self._emit(render_symbols(got))
-        elif verb == "SUB":
-            i, c = _int(args[1], line_no), _char(args[2], line_no)
-            fo.substitute(s, i, c)
-            if oc is not None:
-                oc.substitute(o, i, c)
-        elif verb == "INS":
-            i, c = _int(args[1], line_no), _char(args[2], line_no)
-            fo.insert(s, i, c)
-            if oc is not None:
-                oc.insert(o, i, c)
-        elif verb == "DEL":
-            i = _int(args[1], line_no)
-            fo.delete(s, i)
-            if oc is not None:
-                oc.delete(o, i)
-        elif verb == "INTRO":
-            i = _int(args[1], line_no)
-            s2 = self._handle(args[2], line_no)
-            fo.introduce(s, i, s2)
-            if oc is not None:
-                oc.introduce(o, i, self.oracle_handles[args[2]])
-        elif verb == "EXTRACT":
-            i, j = _int(args[1], line_no), _int(args[2], line_no)
-            newname = args[3]
-            if newname in self.handles:
-                raise ScriptError(line_no,
-                                  f"string id {newname!r} already exists")
-            self.handles[newname] = fo.extract(s, i, j)
-            if oc is not None:
-                self.oracle_handles[newname] = oc.extract(o, i, j)
-        elif verb == "EQUAL":
-            i1 = _int(args[1], line_no)
-            s2, i2 = self._handle(args[2], line_no), _int(args[3], line_no)
-            l = _int(args[4], line_no)
-            got = fo.equal(s, i1, s2, i2, l)
-            if oc is not None:
-                want = oc.equal(o, i1, self.oracle_handles[args[2]], i2, l)
-                self._compare(line, line_no, got, want, one_sided=True)
-            self._emit("TRUE" if got else "FALSE")
-        elif verb == "LCP":
-            i1 = _int(args[1], line_no)
-            s2, i2 = self._handle(args[2], line_no), _int(args[3], line_no)
-            got = fo.lcp(s, i1, s2, i2)
-            if oc is not None:
-                want = oc.lcp(o, i1, self.oracle_handles[args[2]], i2)
-                self._compare(line, line_no, got, want)
-            self._emit(f"{got[0]} {got[1].value}")
-        elif verb == "REV":
-            i, j = _int(args[1], line_no), _int(args[2], line_no)
-            fo.reverse(s, i, j)
-            if oc is not None:
-                oc.reverse(o, i, j)
-        elif verb == "MAP":
-            i, j = _int(args[1], line_no), _int(args[2], line_no)
-            fo.map(s, i, j)
-            if oc is not None:
-                oc.map(o, i, j)
-        elif verb == "ROTATE":
-            i = _int(args[1], line_no)
-            fo.rotate(s, i)
-            if oc is not None:
-                oc.rotate(o, i)
-        elif verb == "EQW":
-            i1 = _int(args[1], line_no)
-            s2, i2 = self._handle(args[2], line_no), _int(args[3], line_no)
-            l = _int(args[4], line_no)
-            got = fo.equal_omega(s, i1, s2, i2, l)
-            if oc is not None:
-                want = oc.equal_omega(o, i1, self.oracle_handles[args[2]],
-                                      i2, l)
-                self._compare(line, line_no, got, want, one_sided=True)
-            self._emit("TRUE" if got else "FALSE")
-        elif verb == "EQWW":
-            i1, l1 = _int(args[1], line_no), _int(args[2], line_no)
-            s2 = self._handle(args[3], line_no)
-            i2, l2 = _int(args[4], line_no), _int(args[5], line_no)
-            got = fo.equal_omega_omega(s, i1, l1, s2, i2, l2)
-            if oc is not None:
-                want = oc.equal_omega_omega(
-                    o, i1, l1, self.oracle_handles[args[3]], i2, l2)
-                self._compare(line, line_no, got, want, one_sided=True)
-            self._emit("TRUE" if got else "FALSE")
-        elif verb == "LCPW":
-            i1 = _int(args[1], line_no)
-            s2, i2 = self._handle(args[2], line_no), _int(args[3], line_no)
-            got = fo.lcp_omega(s, i1, s2, i2)
-            if oc is not None:
-                want = oc.lcp_omega(o, i1, self.oracle_handles[args[2]], i2)
-                self._compare(line, line_no, got, want)
-            length = "INF" if got[0] is INFINITE else str(got[0])
-            self._emit(f"{length} {got[1].value}")
-        else:  # pragma: no cover - arity table guards this
-            raise ScriptError(line_no, f"unknown command {verb!r}")
+    def _shadow(self, spec, toks, args, name, line, line_no):
+        """`run_line`'s call on both sides, which must answer alike, or
+        raise the same FestError subclass and leave the strings the line
+        names alike."""
+        oargs = list(args)
+        for pos in spec.ids:
+            oargs[pos] = self.oracle_handles[toks[pos]]
+        err = oerr = None
+        try:
+            got = getattr(self.forest, spec.method)(*args)
+        except FestError as exc:
+            err = exc
+        try:
+            want = getattr(self.oracle, spec.method)(*oargs)
+        except FestError as exc:
+            oerr = exc
+        if type(err) is not type(oerr):
+            raise ShadowDivergence(line_no, f"error divergence on {line!r}: "
+                                   f"forest={err!r} oracle={oerr!r}")
+        if err is not None:
+            self._check_contents(spec, toks, name, line_no, line)
+            raise err
+        if name is not None:
+            self.oracle_handles[name] = want
+        elif got != want:
+            measure = spec.one_sided
+            collision = measure is not None and measure(got) > measure(want)
+            self.collisions += collision
+            raise ShadowDivergence(
+                line_no, f"result divergence on {line!r}: forest={got!r} "
+                f"oracle={want!r}"
+                + (" (fingerprint collision)" if collision else ""))
+        return got
 
 
 @dataclass
@@ -378,19 +319,18 @@ def run_script(lines, *, seed: int | None = None, involution=None,
     """
     runner = ScriptRunner(seed=seed, involution=involution, shadow=shadow,
                           check_full=check_full, out=out)
+    code, error = 0, None
     try:
         runner.run(lines)
     except ScriptError as exc:
-        return RunResult(1, str(exc), runner.collisions, runner.ops, runner)
+        code, error = 1, str(exc)
     except ShadowDivergence as exc:
         ctx = runner.forest.ctx
-        return RunResult(3, f"{exc}\n  replay with --seed {ctx.seed} "
-                         f"(base {ctx.base})", runner.collisions, runner.ops,
-                         runner)
+        code, error = 3, (f"{exc}\n  replay with --seed {ctx.seed} "
+                          f"(base {ctx.base})")
     except FestError as exc:
-        return RunResult(2, f"{type(exc).__name__}: {exc}",
-                         runner.collisions, runner.ops, runner)
-    return RunResult(0, None, runner.collisions, runner.ops, runner)
+        code, error = 2, f"{type(exc).__name__}: {exc}"
+    return RunResult(code, error, runner.collisions, runner.ops, runner)
 
 
 def format_stats(runner: ScriptRunner) -> str:

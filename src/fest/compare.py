@@ -25,13 +25,6 @@ class Order(enum.Enum):
     EQUAL = "EQUAL"
     GREATER = "GREATER"
 
-    def flipped(self) -> "Order":
-        if self is Order.LESS:
-            return Order.GREATER
-        if self is Order.GREATER:
-            return Order.LESS
-        return Order.EQUAL
-
 
 def order_of(a: int, b: int) -> Order:
     if a < b:

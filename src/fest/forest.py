@@ -346,13 +346,6 @@ class Forest:
         _circ.rotate(self, s, i)
         self._after(s)
 
-    def circular_fp(self, s: DynString, i: int, j: int):
-        """Fingerprint of the wrapped stored range without physical rotation."""
-        self._check(s)
-        out = _circ.circular_fp(self, s, i, j)
-        self._after(s)
-        return out
-
     def equal_omega(self, s1: DynString, i1: int, s2: DynString, i2: int,
                     l: int) -> bool:
         """Whether the length-l prefixes of the two unrolled strings match."""
@@ -402,14 +395,9 @@ class Forest:
         rec = LcpProbes()
         self.stats.lcp_calls += 1
         self.stats.last_lcp = rec
-        same = s1 is s2
-        if same and i1 == i2:
+        if s1 is s2 and i1 == i2:
             return n1 - i1 + 1, Order.EQUAL
-        if same and i1 > i2:
-            length, order = self._lcp_impl(s1, i2, s2, i1, rec)
-            result = length, order.flipped()
-        else:
-            result = self._lcp_impl(s1, i1, s2, i2, rec)
+        result = self._lcp_impl(s1, i1, s2, i2, rec)
         self.stats.lcp_squaring_probes += rec.squaring
         self._after(s1, s2)
         return result
@@ -458,10 +446,6 @@ class Forest:
         """Fingerprint of the t symbols from stored position a."""
         y = sc.isolate(tree, a, a + t - 1, self.cfg, self.stats)
         return y.fp
-
-    def _tree_range_fp_power(self, tree, a, b) -> tuple[int, int]:
-        y = sc.isolate(tree, a, b, self.cfg, self.stats)
-        return y.fp, self.cfg.pw[y.size]
 
     def _extract_window(self, tree, a, b) -> sc.Tree:
         y = sc.isolate(tree, a, b, self.cfg, self.stats)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fest import CIRCULAR, Forest, INFINITE, Order, RangeError, UsageError
+from fest import CIRCULAR, Forest, INFINITE, Order, UsageError
 from fest.oracle import OracleForest
 from fest import splaycore as sc
 
@@ -210,39 +210,6 @@ def test_introduce_into_circular_matches_oracle(forest):
         forest.introduce(s, i, donor)
         oracle.introduce(o, i, donor_o)
         assert canonical(forest, s) == o.symbols
-
-
-# ------------------------------------------------------------- circular_fp
-
-def test_circular_fp_matches_eval_of_wrapped_slice(forest):
-    rng = random.Random(4)
-    w = [rng.randrange(256) for _ in range(20)]
-    s = forest.make_string(w, mode=CIRCULAR)
-    for _ in range(40):
-        i = rng.randint(2, 21)
-        j = rng.randint(0, i - 1)
-        got = forest.circular_fp(s, i, j)
-        want = forest.ctx.eval(stored(s)[i - 1:] + stored(s)[:j])
-        assert (got.fp, got.power, got.length) == \
-            (want.fp, want.power, want.length)
-
-
-def test_circular_fp_edge_parts(forest):
-    w = codes("abcdefgh")
-    s = forest.make_string(w, mode=CIRCULAR)
-    tail_only = forest.circular_fp(s, 3, 0)
-    assert tail_only == forest.ctx.eval(w[2:])
-    head_only = forest.circular_fp(s, 9, 5)
-    assert head_only == forest.ctx.eval(w[:5])
-
-
-def test_circular_fp_rejects_bad_ranges(forest):
-    s = forest.make_string("abc", mode=CIRCULAR)
-    with pytest.raises(RangeError):
-        forest.circular_fp(s, 2, 2)
-    lin = forest.make_string("abc")
-    with pytest.raises(UsageError):
-        forest.circular_fp(lin, 2, 1)
 
 
 # ---------------------------------------------------------------- unrolled

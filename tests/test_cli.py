@@ -1,14 +1,18 @@
 """Script-protocol tests: grammar, output formats, exit codes, shadow mode."""
 
+import inspect
 import io
+import re
 import subprocess
 import sys
 
 import pytest
 
+from fest import INFINITE, Forest, Order, RangeError, UsageError, cli
 from fest.cli import ScriptRunner, ShadowDivergence, main, \
     parse_involution_file, render_symbols, run_script
 from fest.fingerprint import FingerprintContext
+from fest.oracle import OracleForest
 
 
 def run_lines(lines, **kw):
@@ -270,9 +274,112 @@ def test_cli_default_seed_is_drawn_and_reported(tmp_path):
 
 
 def test_divergence_report_names_the_seed(monkeypatch):
-    from fest.forest import Forest
     monkeypatch.setattr(Forest, "access", lambda self, s, i: 0)
     result = run_script(["MAKE s ab", "ACCESS s 1"], shadow=True)
     assert result.exit_code == 3
     ctx = result.runner.forest.ctx
     assert f"--seed {ctx.seed} (base {ctx.base})" in result.error
+
+
+def test_verb_table_matches_forest_and_oracle():
+    # Each verb calls one method by name on both sides, with one argument
+    # per non-"new" kind, plus the mode for the MAKE family.
+    for verb, spec in cli._VERBS.items():
+        want = len(spec.kinds) + (spec.mode is not None)
+        for side in (Forest, OracleForest):
+            params = list(inspect.signature(
+                getattr(side, spec.method)).parameters.values())[1:]
+            assert [p.kind for p in params].count(
+                inspect.Parameter.POSITIONAL_OR_KEYWORD) == want, (verb, side)
+        assert re.search(rf"\b{verb} ", cli.__doc__), verb
+
+
+@pytest.mark.parametrize("shadow", [False, True])
+def test_drop_kills_the_handle(shadow):
+    result, out = run_lines(["MAKE s ab", "MAKE t cd", "DROP s",
+                             "ACCESS t 1", "ACCESS s 1"], shadow=shadow)
+    assert result.exit_code == 2
+    assert result.error.startswith("HandleError")
+    assert out == "c\n"
+
+
+def test_shadowed_runtime_error_keeps_its_exit_code():
+    result, out = run_lines(["MAKE s ab", "ACCESS s 9"], shadow=True)
+    assert result.exit_code == 2
+    assert result.error.startswith("RangeError")
+    assert out == ""
+
+
+def test_shadowed_error_must_leave_contents_alone(monkeypatch):
+    real = Forest.delete
+
+    def delete(self, s, i):
+        real(self, s, 1)
+        raise RangeError(f"position {i} outside [1, {s.length}]")
+
+    monkeypatch.setattr(Forest, "delete", delete)
+    result, _ = run_lines(["MAKE s abab", "DEL s 9"], shadow=True)
+    assert result.exit_code == 3
+    assert "content divergence after 'DEL s 9' on 's'" in result.error
+
+
+def _raise_usage(self, s, i):
+    raise UsageError("patched")
+
+
+def _raise_range(self, s, i):
+    raise RangeError("patched")
+
+
+@pytest.mark.parametrize("line,access", [
+    pytest.param("ACCESS s 9", _raise_usage, id="other-class"),
+    pytest.param("ACCESS s 1", _raise_range, id="forest-only"),
+    pytest.param("ACCESS s 9", lambda self, s, i: 97, id="oracle-only"),
+])
+def test_shadow_compares_error_classes(monkeypatch, line, access):
+    monkeypatch.setattr(Forest, "access", access)
+    result, out = run_lines(["MAKE s ab", line], shadow=True)
+    assert result.exit_code == 3
+    assert f"error divergence on {line!r}" in result.error
+    assert out == ""
+
+
+def _off_by(delta):
+    return lambda answer: (answer[0] + delta, answer[1])
+
+
+@pytest.mark.parametrize("verb,method", [("LCP", "lcp"),
+                                         ("LCPW", "lcp_omega")])
+@pytest.mark.parametrize("wrong,collision", [
+    # Over-reporting is what a collision does; anything else is a bug.
+    pytest.param(_off_by(1), True, id="longer"),
+    pytest.param(_off_by(-1), False, id="shorter"),
+    pytest.param(lambda answer: (answer[0], Order.GREATER), False,
+                 id="other-order"),
+])
+def test_lcp_divergence_is_labelled_by_direction(monkeypatch, verb, method,
+                                                 wrong, collision):
+    real = getattr(Forest, method)
+    monkeypatch.setattr(Forest, method,
+                        lambda self, *args: wrong(real(self, *args)))
+    # lcp 3 either way ("abc"), and "abca" < "abcb".
+    result, _ = run_lines(["MAKEC a abcab", "MAKEC b abcb",
+                           f"{verb} a 1 b 1"], shadow=True)
+    assert result.exit_code == 3
+    assert result.collisions == int(collision)
+    assert ("(fingerprint collision)" in result.error) == collision
+
+
+@pytest.mark.parametrize("pair,answer,collision", [
+    pytest.param(("abcab", "abcb"), (INFINITE, Order.EQUAL), True,
+                 id="infinite-for-finite"),
+    pytest.param(("ab", "abab"), (4, Order.LESS), False,
+                 id="finite-for-infinite"),
+])
+def test_lcp_omega_infinite_divergence_is_labelled(monkeypatch, pair, answer,
+                                                   collision):
+    monkeypatch.setattr(Forest, "lcp_omega", lambda self, *args: answer)
+    result, _ = run_lines([f"MAKEC a {pair[0]}", f"MAKEC b {pair[1]}",
+                           "LCPW a 1 b 1"], shadow=True)
+    assert result.exit_code == 3
+    assert result.collisions == int(collision)
