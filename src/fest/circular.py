@@ -1,23 +1,20 @@
-"""Circular-string support: rotations, wrapped ranges, and unrolled queries.
+"""Circular-string support: turns, wrapped fingerprints, unrolled queries.
 
-A circular handle stores some linearization of its canonical string; the
-1-based field `start` records which canonical position sits at stored
-position 1 (canonical index i lives at stored position
-((n + i - start) mod n) + 1).  Operations take canonical indices; a range
-with i > j wraps around the seam.
-
-Ranges are made physically contiguous before use: a canonical-linear range
-whose stored image crosses the seam triggers a re-rotation to start 1, and a
-wrapped range triggers a re-rotation that puts its first symbol at stored
-position 1.  Rotations never change the canonical string.
+A circular string is stored in canonical order, so positions, point edits
+and in-range queries are the linear ones.  A range with i > j wraps through
+the seam: it is [i..n] followed by [1..j].  The operations that keep symbol
+order work on those two stored pieces; only `extract` and `reverse` of a
+wrapped range turn the string (`rotate_to_front`), and `reverse` turns it
+back.  The public `rotate` moves nothing: the canonical string is
+rotation-invariant.
 
 "Unrolled" queries treat a string as its infinite self-concatenation.  By
 the periodicity bound, two unrollings agreeing on their first
 |s1| + |s2| - gcd(|s1|, |s2|) symbols agree forever, so every unrolled
 comparison is capped at cap_length = |s1| + |s2|.  An unrolled prefix is
-fingerprinted in place from at most two stored slices per copy and a
-geometric sum over the copies (`_omega_fp`); it never re-rotates, so both
-operands may be one string.  `lcp_omega` runs the linear lcp's pipeline
+fingerprinted in place from at most two pieces per copy and a geometric
+sum over the copies (`_omega_fp`); it moves no symbol, so both operands may
+be one string.  `lcp_omega` runs the linear lcp's pipeline
 (`compare.lcp_pipeline`) with the cap as its full length.
 """
 
@@ -57,128 +54,39 @@ def cap_length(s1, s2) -> int:
     return s1.tree.size + s2.tree.size
 
 
-# ------------------------------------------------------- coordinate mapping
+# ------------------------------------------------------------------ turns
 
-def stored_point(s, i: int) -> int:
-    """Stored position of canonical index i."""
-    _check_pos(s, i)
-    return (i - s.start) % s.tree.size + 1
+def rotate(s, i: int) -> None:
+    """Validate a public rotation; it moves no symbol.
 
-
-def insert_point(s, i: int, block: int = 1) -> tuple[int, int]:
-    """(stored slot, new start) for inserting `block` symbols at index i."""
-    n = s.tree.size
-    if not 1 <= i <= n + 1:
-        raise RangeError(f"insert position {i} outside [1, {n + 1}]")
-    if n == 0:
-        return 1, 1
-    r = s.start
-    q = i - r + 1 if i >= r else n + 1 + i - r
-    if q == 1:
-        new_start = i
-    elif i < r:
-        new_start = r + block
-    else:
-        new_start = r
-    return q, new_start
-
-
-def delete_point(s, i: int) -> tuple[int, int]:
-    """(stored position, new start) for deleting the symbol at index i."""
-    n = s.tree.size
-    _check_pos(s, i)
-    r = s.start
-    q = i - r + 1 if i >= r else n + 1 + i - r
-    if n == 1:
-        new_start = 1
-    elif i < r:
-        new_start = r - 1
-    elif i == r:
-        new_start = r if r <= n - 1 else 1
-    else:
-        new_start = r
-    return q, new_start
-
-
-# ------------------------------------------------------------- re-rotation
-
-def _tree_rotate(forest, s, q: int) -> None:
-    """Make stored position q the new stored front (split + swapped join)."""
-    if q == 1:
-        return
-    left, right = sc.split(s.tree, q - 1, forest.cfg, forest.stats)
-    s.tree.root = sc.join(right, left, forest.cfg, forest.stats)
-
-
-def rotate(forest, s, i: int) -> None:
-    """Public rotation: the stored string becomes stored[i..] stored[..i-1].
-
-    The canonical string is unchanged; only the internal linearization and
-    the start offset move.
+    The canonical string is invariant under rotation, and a circular string
+    is always stored in canonical order.
     """
     n = _require_circular(s)
     if not 1 <= i <= n:
         raise RangeError(f"rotation point {i} outside [1, {n}]")
-    new_start = (s.start - 1 + i - 1) % n + 1
-    _tree_rotate(forest, s, i)
-    s.start = new_start
 
 
-def rotate_to_front(forest, s, target: int) -> None:
-    """Re-rotate so canonical index `target` sits at stored position 1."""
-    n = s.tree.size
-    if n == 0:
-        s.start = 1
-        return
-    q = (target - s.start) % n + 1
-    _tree_rotate(forest, s, q)
-    s.start = target
+def rotate_to_front(forest, s, i: int) -> None:
+    """Turn s so that position i > 1 comes first: a split and a swapped join.
 
-
-# ------------------------------------------------------------ range guard
-
-def resolve_range(forest, s, i: int, j: int) -> tuple[int, int]:
-    """Stored endpoints of the canonical range i..j, re-rotating if needed.
-
-    i > j denotes the wrapped range through the seam (never empty); its
-    length is n - i + 1 + j.
+    If the join raises, the pieces are joined back as they were, which
+    fixes no node, so s is either turned or untouched.
     """
-    n = s.tree.size
-    _check_pos(s, i)
-    _check_pos(s, j)
-    if i <= j:
-        length = j - i + 1
-        a = (i - s.start) % n + 1
-        if a + length - 1 <= n:
-            return a, a + length - 1
-        rotate_to_front(forest, s, 1)
-        return i, j
-    length = n - i + 1 + j
-    rotate_to_front(forest, s, i)
-    return 1, length
-
-
-def extract_range(forest, s, i: int, j: int) -> tuple[int, int, int]:
-    """Stored endpoints plus the remainder's new start for an extraction.
-
-    The string is first re-rotated so the range begins at stored position 1;
-    the remainder keeps canonical order, restarting at 1 when the extracted
-    range wrapped or reached the canonical end.
-    """
-    n = s.tree.size
-    _check_pos(s, i)
-    _check_pos(s, j)
-    length = j - i + 1 if i <= j else n - i + 1 + j
-    rotate_to_front(forest, s, i)
-    remainder = n - length
-    new_start = i if (i <= j and i <= remainder) else 1
-    return 1, length, new_start
+    cfg = forest.cfg
+    left, right = sc.split(s.tree, i - 1, cfg, forest.stats)
+    try:
+        s.tree.root = sc.join(right, left, cfg, forest.stats)
+    except BaseException:
+        # `left` is rooted at its last node, so this join walks no spine.
+        s.tree.root = sc.join(left, right, cfg, forest.stats)
+        raise
 
 
 # -------------------------------------------------- wrapped fingerprints
 
 def _slice_fp(forest, s, q: int, length: int) -> int:
-    """Fingerprint of the stored circular slice [q, q+length)."""
+    """Fingerprint of the circular slice of `length` symbols from q."""
     if length == 0:
         return 0
     n = s.tree.size
@@ -192,17 +100,16 @@ def _slice_fp(forest, s, q: int, length: int) -> int:
 
 
 def _omega_fp(forest, s, i: int, length: int) -> int:
-    """Fingerprint of the unrolled string from canonical i, via seam splices.
+    """Fingerprint of the unrolled string from i, via seam splices.
 
-    Never moves the rotation, so both probe targets may live in one tree.
+    Moves no symbol, so both probe targets may live in one tree.
     """
     n = s.tree.size
-    q = (i - s.start) % n + 1
     copies, part = divmod(length, n)
-    part_fp = _slice_fp(forest, s, q, part)
+    part_fp = _slice_fp(forest, s, i, part)
     if copies == 0:
         return part_fp
-    turn_fp = _slice_fp(forest, s, q, n)
+    turn_fp = _slice_fp(forest, s, i, n)
     cfg = forest.cfg
     p = cfg.modulus
     geo = forest.ctx.geomsum(cfg.pw[n], copies - 1)
@@ -256,7 +163,7 @@ def equal_omega_omega(forest, s1, i1: int, l1: int,
 
 
 def _omega_symbol(forest, s, i: int, t: int) -> int:
-    """t-th symbol (1-based) of the unrolled string starting at canonical i."""
+    """t-th symbol (1-based) of the unrolled string starting at i."""
     n = s.tree.size
     return forest.access(s, (i + t - 2) % n + 1)
 
@@ -280,8 +187,7 @@ def lcp_omega(forest, s1, i1: int, s2, i2: int):
     cap = cap_length(s1, s2)
 
     def side(s, i):
-        a = (i - s.start) % s.tree.size + 1
-        return s, a, partial(_omega_fp, forest, s, i)
+        return s, i, partial(_omega_fp, forest, s, i)
 
     def symbols(t):
         return (_omega_symbol(forest, s1, i1, t),

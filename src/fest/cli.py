@@ -13,7 +13,9 @@ One command per line, whitespace-separated:
     LCPW id1 i1 id2 i2
 
 Queries print exactly one line; mutations print nothing.  Character
-arguments (SUB/INS) are a decimal code, or a single non-digit character.
+arguments (SUB/INS) are an integer code, or a single non-digit character.
+A new id (MAKE*, EXTRACT) may reuse the id of a dropped or introduced
+string; any other use of such an id is a HandleError.
 Blank lines and lines starting with '#' are ignored.  Each verb is one
 `_VERBS` entry naming a method that `Forest` and `OracleForest` share.
 
@@ -105,10 +107,12 @@ def _int(runner, tok: str, line_no: int) -> int:
 
 
 def _char(runner, tok: str, line_no: int) -> int:
-    if tok.isdigit():
+    """An integer code, signed like MAKEN's, or one non-digit character."""
+    try:
         return int(tok)
-    if len(tok) == 1:
-        return ord(tok)
+    except ValueError:
+        if len(tok) == 1:
+            return ord(tok)
     raise ScriptError(line_no, f"expected symbol code or character, got {tok!r}")
 
 
@@ -187,11 +191,9 @@ class ScriptRunner:
     """Executes script lines against a Forest, optionally shadowed."""
 
     def __init__(self, seed: int | None = None, involution=None,
-                 shadow: bool = False,
-                 check_full: bool = True, out=None):
+                 shadow: bool = False, out=None):
         self.forest = Forest(seed=seed, involution=involution)
         self.oracle = OracleForest(involution=involution) if shadow else None
-        self.check_full = check_full
         self.out = out
         self.handles = {}
         self.oracle_handles = {}
@@ -203,8 +205,6 @@ class ScriptRunner:
     def _check_contents(self, spec, toks, new, line_no: int, line: str):
         """Raise ShadowDivergence unless the strings the line names (its
         ids, and `new` unless None) hold the same contents on both sides."""
-        if not self.check_full:
-            return
         for name in [toks[pos] for pos in spec.ids] + [new]:
             s = self.handles.get(name)
             if s is None or not s.alive:
@@ -250,7 +250,7 @@ class ScriptRunner:
         args = []
         for kind, tok in zip(spec.kinds, toks):
             args.append(kind(self, tok, line_no))
-        if name is not None and name in self.handles:
+        if name in self.handles and self.handles[name].alive:
             raise ScriptError(line_no, f"string id {name!r} already exists")
         if spec.mode is not None:
             args.append(spec.mode)
@@ -310,15 +310,14 @@ class RunResult:
 
 
 def run_script(lines, *, seed: int | None = None, involution=None,
-               shadow: bool = False, check_full: bool = True,
-               out=None) -> RunResult:
+               shadow: bool = False, out=None) -> RunResult:
     """Run script lines; returns the exit code instead of raising.
 
     seed=None draws the fingerprint seed at random; a divergence report
     names the seed and base so that the run can be replayed.
     """
     runner = ScriptRunner(seed=seed, involution=involution, shadow=shadow,
-                          check_full=check_full, out=out)
+                          out=out)
     code, error = 0, None
     try:
         runner.run(lines)

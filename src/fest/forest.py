@@ -39,14 +39,16 @@ class ForestStats(sc.TreeStats):
 
 
 class DynString:
-    """Handle to one dynamic string.  Valid only within its owning forest."""
+    """Handle to one dynamic string.  Valid only within its owning forest.
 
-    __slots__ = ("id", "mode", "start", "tree", "alive")
+    The tree holds the string in canonical order, circular strings too.
+    """
+
+    __slots__ = ("id", "mode", "tree", "alive")
 
     def __init__(self, id: int, mode: str, root):
         self.id = id
         self.mode = mode
-        self.start = 1
         self.tree = sc.Tree(root)
         self.alive = True
 
@@ -137,11 +139,10 @@ class Forest:
     # ------------------------------------------------------------ queries
 
     def access(self, s: DynString, i: int) -> int:
-        """The symbol at position i (canonical coordinates)."""
+        """The symbol at position i."""
         self._check(s)
-        q = _circ.stored_point(s, i) if s.mode == CIRCULAR else i
         self.stats.finds += 1
-        node = sc.find(s.tree, q, self.cfg, self.stats)
+        node = sc.find(s.tree, i, self.cfg, self.stats)
         self._after(s)
         return node.char
 
@@ -152,14 +153,12 @@ class Forest:
         strings i > j denotes the wrapped range.
         """
         self._check(s)
-        if s.mode == LINEAR:
-            if i == j + 1 and 1 <= i <= s.length + 1:
-                return []
-            a, b = self._linear_range(s, i, j)
-        else:
-            a, b = _circ.resolve_range(self, s, i, j)
-        y = sc.isolate(s.tree, a, b, self.cfg, self.stats)
-        out = sc.inorder_symbols(y, self.cfg, self.stats)
+        if s.mode == LINEAR and i == j + 1 and 1 <= i <= s.length + 1:
+            return []
+        pieces = self._pieces(s, i, j)
+        out = sc.inorder_symbols(next(pieces), self.cfg, self.stats)
+        for y in pieces:
+            out += sc.inorder_symbols(y, self.cfg, self.stats)
         self._after(s)
         return out
 
@@ -184,9 +183,8 @@ class Forest:
         """Overwrite the symbol at position i."""
         self._check(s)
         (c,) = _as_symbols([c])
-        q = _circ.stored_point(s, i) if s.mode == CIRCULAR else i
         self.stats.finds += 1
-        node = sc.find(s.tree, q, self.cfg, self.stats)
+        node = sc.find(s.tree, i, self.cfg, self.stats)
         node.char = c
         cfg = self.cfg
         sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
@@ -197,12 +195,8 @@ class Forest:
         self._check(s)
         (c,) = _as_symbols([c])
         n = s.length
-        if s.mode == CIRCULAR:
-            q, new_start = _circ.insert_point(s, i)
-        else:
-            if not 1 <= i <= n + 1:
-                raise RangeError(f"insert position {i} outside [1, {n + 1}]")
-            q, new_start = i, 1
+        if not 1 <= i <= n + 1:
+            raise RangeError(f"insert position {i} outside [1, {n + 1}]")
         cfg = self.cfg
         cfg.reserve(n + 1)
         node = sc.Node(c)
@@ -210,7 +204,7 @@ class Forest:
         if n == 0:
             sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
             tree.root = node
-        elif q == n + 1:
+        elif i == n + 1:
             # Append: the old root becomes the new node's left subtree.
             sc.find(tree, n, cfg, self.stats)
             old = tree.root
@@ -219,7 +213,7 @@ class Forest:
             sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
             tree.root = node
         else:
-            sc.find(tree, q, cfg, self.stats)
+            sc.find(tree, i, cfg, self.stats)
             x = tree.root
             node.left = x.left
             if node.left is not sc.NULL:
@@ -230,21 +224,16 @@ class Forest:
             x.parent = node
             sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
             tree.root = node
-        s.start = new_start
         self.total_length += 1
         self._after(s)
 
     def delete(self, s: DynString, i: int) -> None:
         """Remove the symbol at position i."""
         self._check(s)
-        if s.mode == CIRCULAR:
-            q, new_start = _circ.delete_point(s, i)
-        else:
-            if not 1 <= i <= s.length:
-                raise RangeError(f"position {i} outside [1, {s.length}]")
-            q, new_start = i, 1
+        if not 1 <= i <= s.length:
+            raise RangeError(f"position {i} outside [1, {s.length}]")
         self.stats.finds += 1
-        x = sc.find(s.tree, q, self.cfg, self.stats)
+        x = sc.find(s.tree, i, self.cfg, self.stats)
         left = x.left if x.left is not sc.NULL else None
         right = x.right if x.right is not sc.NULL else None
         if left is not None:
@@ -252,7 +241,6 @@ class Forest:
         if right is not None:
             right.parent = None
         s.tree.root = sc.join(left, right, self.cfg, self.stats)
-        s.start = new_start
         self.total_length -= 1
         self._after(s)
 
@@ -264,23 +252,15 @@ class Forest:
         self._check(s2)
         if s1 is s2:
             raise UsageError("cannot introduce a string into itself")
-        if s2.mode == CIRCULAR:
-            _circ.rotate_to_front(self, s2, 1)
-        m = s2.length
-        if s1.mode == CIRCULAR:
-            q, new_start = _circ.insert_point(s1, i, block=m)
-        else:
-            if not 1 <= i <= s1.length + 1:
-                raise RangeError(
-                    f"introduce position {i} outside [1, {s1.length + 1}]")
-            q, new_start = i, 1
-        self.cfg.reserve(s1.length + m)
+        if not 1 <= i <= s1.length + 1:
+            raise RangeError(
+                f"introduce position {i} outside [1, {s1.length + 1}]")
+        self.cfg.reserve(s1.length + s2.length)
         sub = s2.tree.root
         self._destroy(s2)
         if sub is not None:
-            point = sc.isolate(s1.tree, q, q - 1, self.cfg, self.stats)
+            point = sc.isolate(s1.tree, i, i - 1, self.cfg, self.stats)
             sc.attach(point, sub, self.cfg, s1.tree)
-        s1.start = new_start
         self._after(s1)
 
     def drop(self, s: DynString) -> None:
@@ -292,17 +272,19 @@ class Forest:
     def extract(self, s: DynString, i: int, j: int) -> DynString:
         """Remove the range i..j from s and hand it back as a new string.
 
-        The new handle is always linear, also when s is circular.
+        The new handle is always linear, also when s is circular.  A
+        wrapped range is turned to the front first; what remains of s,
+        j+1..i-1, is then in canonical order.
         """
         self._check(s)
-        if s.mode == CIRCULAR:
-            a, b, new_start = _circ.extract_range(self, s, i, j)
-        else:
-            a, b = self._linear_range(s, i, j)
-            new_start = 1
-        y = sc.isolate(s.tree, a, b, self.cfg, self.stats)
+        a, b, back = self._turned(s, i, j)
+        try:
+            y = sc.isolate(s.tree, a, b, self.cfg, self.stats)
+        except BaseException:
+            if back:
+                _circ.rotate_to_front(self, s, back)
+            raise
         sc.detach(y, self.cfg, s.tree)
-        s.start = new_start
         out = self._register(y, LINEAR)
         self._after(s, out)
         return out
@@ -310,41 +292,65 @@ class Forest:
     # ------------------------------------------------------ lazy range ops
 
     def reverse(self, s: DynString, i: int, j: int) -> None:
-        """Reverse the substring i..j in place, lazily."""
+        """Reverse the substring i..j in place, lazily.
+
+        A wrapped range is turned to the front, reversed, and turned back.
+        The whole circle from i is the whole string's reversal once the
+        string is turned to 2i - 1, so nothing turns back.
+        """
         self._check(s)
-        if s.mode == CIRCULAR:
-            a, b = _circ.resolve_range(self, s, i, j)
-        else:
-            a, b = self._linear_range(s, i, j)
-        y = sc.isolate(s.tree, a, b, self.cfg, self.stats)
-        y.rev = not y.rev
-        sc.repull_ancestors_from(y.parent, self.cfg)
+        if i == j + 1 and self._wraps(s, i, j):
+            n = s.length
+            front = (2 * i - 2) % n + 1
+            if front > 1:
+                _circ.rotate_to_front(self, s, front)
+            i, j = 1, n
+        a, b, back = self._turned(s, i, j)
+        try:
+            if back:
+                # The turn back splits at the node now at j + 1, which the
+                # reversal moves to n - i + 1.  Splayed first, it stays
+                # within two levels of the root, and the turn back meets
+                # only fixed nodes: it calls no involution, so it cannot
+                # fail once the range is reversed.
+                sc.find(s.tree, j + 1, self.cfg, self.stats)
+            y = sc.isolate(s.tree, a, b, self.cfg, self.stats)
+            y.rev = not y.rev
+            sc.repull_ancestors_from(y.parent, self.cfg)
+        finally:
+            if back:
+                _circ.rotate_to_front(self, s, back)
         self._after(s)
 
     def map(self, s: DynString, i: int, j: int) -> None:
-        """Apply the forest involution to every symbol in i..j, lazily."""
+        """Apply the forest involution to every symbol in i..j, lazily.
+
+        A wrapped range is mapped in its two pieces; i = j + 1 is the whole
+        circle, one piece.
+        """
         self._check(s)
-        if self.cfg.fmap is None:
+        cfg = self.cfg
+        if cfg.fmap is None:
             raise UsageError("forest has no involution configured")
-        if s.mode == CIRCULAR:
-            a, b = _circ.resolve_range(self, s, i, j)
-        else:
-            a, b = self._linear_range(s, i, j)
-        y = sc.isolate(s.tree, a, b, self.cfg, self.stats)
-        # A map-flagged subtree must be fresh; the flag goes on only once
-        # the refresh has completed.
-        self.stats.mapped_refreshes += sc.refresh_mapped(y, self.cfg)
-        y.map = not y.map
-        sc.repull_ancestors_from(y.parent, self.cfg)
+        if i == j + 1 and self._wraps(s, i, j):
+            i, j = 1, s.length
+        pieces = list(self._pieces(s, i, j))
+        # A map-flagged subtree must be fresh; the flags go on only once
+        # every piece has been refreshed.
+        for y in pieces:
+            self.stats.mapped_refreshes += sc.refresh_mapped(y, cfg)
+        for y in pieces:
+            y.map = not y.map
+            sc.repull_ancestors_from(y.parent, cfg)
         self._after(s)
 
     # --------------------------------------------------- circular/omega ops
 
     def rotate(self, s: DynString, i: int) -> None:
-        """Re-linearize a circular string to begin at stored position i."""
+        """Validate a rotation of a circular string, which moves no symbol:
+        the canonical string is rotation-invariant."""
         self._check(s)
-        _circ.rotate(self, s, i)
-        self._after(s)
+        _circ.rotate(s, i)
 
     def equal_omega(self, s1: DynString, i1: int, s2: DynString, i2: int,
                     l: int) -> bool:
@@ -382,10 +388,6 @@ class Forest:
         """
         self._check(s1)
         self._check(s2)
-        if s1.mode == CIRCULAR:
-            _circ.rotate_to_front(self, s1, 1)
-        if s2.mode == CIRCULAR and s2 is not s1:
-            _circ.rotate_to_front(self, s2, 1)
         n1 = s1.length
         n2 = s2.length
         if not 1 <= i1 <= n1:
@@ -420,27 +422,52 @@ class Forest:
 
     # ----------------------------------------------------------- internals
 
-    def _linear_range(self, s, i, j):
-        if not 1 <= i <= j <= s.length:
-            raise RangeError(f"range [{i}, {j}] outside [1, {s.length}]")
-        return i, j
+    def _wraps(self, s, i, j) -> bool:
+        """Validate the range i..j of s; True when it wraps through the
+        seam, which only a circular range with i > j does."""
+        n = s.length
+        if s.mode == CIRCULAR and 1 <= j < i <= n:
+            return True
+        if not 1 <= i <= j <= n:
+            raise RangeError(f"range [{i}, {j}] outside [1, {n}]")
+        return False
+
+    def _pieces(self, s, i, j):
+        """Isolate the range i..j and yield the subtree roots that hold it
+        in order: one, or for a wrapped range [i..n] then [1..j].
+
+        The second isolate runs when the second piece is asked for.  For
+        i > j + 1 the first piece survives it, because its splay rises from
+        the left of node i-1; for i = j + 1 it does not.
+        """
+        if self._wraps(s, i, j):
+            yield sc.isolate(s.tree, i, s.length, self.cfg, self.stats)
+            yield sc.isolate(s.tree, 1, j, self.cfg, self.stats)
+        else:
+            yield sc.isolate(s.tree, i, j, self.cfg, self.stats)
+
+    def _turned(self, s, i, j) -> tuple[int, int, int | None]:
+        """(a, b, back): the range i..j sits at a..b once a wrapped range
+        has been turned to the front, and turning to `back` undoes that;
+        back is None when nothing turned."""
+        if not self._wraps(s, i, j):
+            return i, j, None
+        n = s.length
+        _circ.rotate_to_front(self, s, i)
+        return 1, n - i + 1 + j, n - i + 2
 
     def _range_fp(self, s, i, l) -> int:
-        """Fingerprint of a length-l range, resolving circular coordinates."""
+        """Fingerprint of a length-l range; a circular one may wrap."""
+        n = s.length
         if s.mode == LINEAR:
-            if not (1 <= i and i + l - 1 <= s.length):
-                raise RangeError(
-                    f"range [{i}, {i + l - 1}] outside [1, {s.length}]")
-            a = i
+            if not (1 <= i and i + l - 1 <= n):
+                raise RangeError(f"range [{i}, {i + l - 1}] outside [1, {n}]")
         else:
-            n = s.length
             if not 1 <= i <= n:
                 raise RangeError(f"position {i} outside [1, {n}]")
             if l > n:
                 raise RangeError(f"range length {l} exceeds circle size {n}")
-            j = (i - 1 + l - 1) % n + 1
-            a, _ = _circ.resolve_range(self, s, i, j)
-        return self._prefix_fp(s.tree, a, l)
+        return _circ._slice_fp(self, s, i, l)
 
     def _prefix_fp(self, tree, a, t) -> int:
         """Fingerprint of the t symbols from stored position a."""

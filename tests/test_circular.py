@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fest import CIRCULAR, Forest, INFINITE, Order, UsageError
+from fest import CIRCULAR, Forest, INFINITE, Order, RangeError, UsageError
 from fest.oracle import OracleForest
 from fest import splaycore as sc
 
@@ -18,7 +18,7 @@ def text(symbols):
 
 
 def stored(s):
-    """Internal linearization of a handle as a symbol list."""
+    """The tree's in-order symbols: a circular string's canonical order."""
     return sc.logical_symbols(s.tree.root, None)
 
 
@@ -37,31 +37,32 @@ def test_rotate_at_one_is_noop(forest):
     s = forest.make_string("abcdef", mode=CIRCULAR)
     forest.rotate(s, 1)
     assert text(stored(s)) == "abcdef"
-    assert s.start == 1
 
 
 def test_rotate_mississippi(forest):
     s = forest.make_string("mississippi", mode=CIRCULAR)
     forest.rotate(s, 9)
-    assert text(stored(s)) == "ppimississi"
-    assert s.start == 9
+    assert text(stored(s)) == "mississippi"
     assert text(canonical(forest, s)) == "mississippi"
 
 
 def test_rotate_round_trip(forest):
+    # rotate only validates: the stored order stays canonical, and no node
+    # moves.
     rng = random.Random(0)
     w = [rng.randrange(256) for _ in range(17)]
     s = forest.make_string(w, mode=CIRCULAR)
     for _ in range(20):
-        i = rng.randint(1, 17)
-        before = stored(s)
-        forest.rotate(s, i)
-        want = before[i - 1:] + before[:i - 1]
-        assert stored(s) == want
-        if i > 1:
-            forest.rotate(s, 17 - i + 2)
-            assert stored(s) == before
-        assert canonical(forest, s) == w
+        root = s.tree.root
+        rotations = forest.stats.rotations
+        forest.rotate(s, rng.randint(1, 17))
+        assert s.tree.root is root
+        assert forest.stats.rotations == rotations
+        assert stored(s) == w
+    for i in (0, 18):
+        with pytest.raises(RangeError):
+            forest.rotate(s, i)
+    assert canonical(forest, s) == w
 
 
 def test_rotate_requires_circular(forest):
@@ -74,8 +75,7 @@ def test_start_maps_indices(forest):
     w = codes("abcdef")
     s = forest.make_string(w, mode=CIRCULAR)
     forest.rotate(s, 4)
-    # stored is now "defabc", canonical reads still follow creation order
-    assert text(stored(s)) == "defabc"
+    assert stored(s) == w
     for i in range(1, 7):
         assert forest.access(s, i) == w[i - 1]
 
@@ -88,13 +88,6 @@ def test_wrapping_retrieve(forest):
     assert text(canonical(forest, s)) == "abcdef"
 
 
-def test_nonwrapping_range_after_rotation_avoids_rerotation(forest):
-    s = forest.make_string("abcdef", mode=CIRCULAR)
-    forest.rotate(s, 4)  # stored defabc
-    assert text(forest.retrieve(s, 4, 6)) == "def"
-    assert text(stored(s)) == "defabc"  # contiguous in storage: no re-rotation
-
-
 def test_wrapped_extract(forest):
     s = forest.make_string("abcdef", mode=CIRCULAR)
     t = forest.extract(s, 5, 2)
@@ -105,7 +98,7 @@ def test_wrapped_extract(forest):
 
 def test_extract_suffix_and_prefix_start_bookkeeping(forest):
     oracle = OracleForest()
-    for i, j in ((4, 6), (1, 3), (2, 5), (1, 6), (6, 6)):
+    for i, j in ((4, 6), (1, 3), (2, 5), (1, 6), (6, 6), (5, 2), (4, 3)):
         w = codes("abcdef")
         s = forest.make_string(w, mode=CIRCULAR)
         o = oracle.make_string(w, mode=CIRCULAR)
@@ -113,10 +106,7 @@ def test_extract_suffix_and_prefix_start_bookkeeping(forest):
         opiece = oracle.extract(o, i, j)
         assert canonical(forest, piece) == opiece.symbols
         assert canonical(forest, s) == o.symbols
-        assert 1 <= s.start <= max(1, s.length)
-        if s.length:
-            r = s.start
-            assert stored(s) == o.symbols[r - 1:] + o.symbols[:r - 1]
+        assert stored(s) == o.symbols
 
 
 def test_wrapped_reverse_and_map_match_oracle():
@@ -136,6 +126,7 @@ def test_wrapped_reverse_and_map_match_oracle():
             forest.map(s, i, j)
             oracle.map(o, i, j)
         assert canonical(forest, s) == o.symbols
+        assert stored(s) == o.symbols
 
 
 def test_circular_edits_match_oracle(forest):
@@ -165,33 +156,13 @@ def test_circular_edits_match_oracle(forest):
             i = rng.randint(1, n)
             assert forest.access(s, i) == oracle.access(o, i)
         assert canonical(forest, s) == o.symbols
-        # the stored view must stay a rotation consistent with `start`,
-        # and the offset itself must stay in range
-        n = s.length
-        assert 1 <= s.start <= max(1, n)
-        if n:
-            r = s.start
-            assert stored(s) == o.symbols[r - 1:] + o.symbols[:r - 1]
-
-
-def test_delete_at_rotation_point_resets_start(forest):
-    oracle = OracleForest()
-    w = codes("abcdef")
-    s = forest.make_string(w, mode=CIRCULAR)
-    o = oracle.make_string(w, mode=CIRCULAR)
-    forest.rotate(s, 6)  # start = 6, stored "fabcde"
-    assert s.start == 6
-    forest.delete(s, 6)  # removes the symbol the rotation starts at
-    oracle.delete(o, 6)
-    assert 1 <= s.start <= s.length
-    assert canonical(forest, s) == o.symbols
-    assert stored(s) == o.symbols[s.start - 1:] + o.symbols[:s.start - 1]
+        assert stored(s) == o.symbols
 
 
 def test_introduce_circular_donor_uses_canonical_form(forest):
     s1 = forest.make_string("xy")
     s2 = forest.make_string("abcdef", mode=CIRCULAR)
-    forest.rotate(s2, 4)  # stored defabc; canonical is still abcdef
+    forest.rotate(s2, 4)  # canonical, and stored, is still abcdef
     forest.introduce(s1, 2, s2)
     assert text(canonical(forest, s1)) == "xabcdefy"
 
@@ -280,8 +251,7 @@ def test_equal_omega_leaves_rotation_untouched(forest):
     forest.rotate(s1, 3)
     before = stored(s1)
     forest.equal_omega(s1, 4, s2, 2, 30)
-    assert stored(s1) == before
-    assert s1.start == 3
+    assert stored(s1) == before == codes("abcdef")
 
 
 def test_equal_omega_omega_powers_of_same_word(forest):

@@ -303,6 +303,42 @@ def test_drop_kills_the_handle(shadow):
     assert out == "c\n"
 
 
+@pytest.mark.parametrize("shadow", [False, True])
+def test_a_dead_id_can_be_reused(shadow):
+    # The ids of a dropped string and of an introduced donor are free again
+    # for MAKE* and EXTRACT; any other use of a dead id is a HandleError.
+    result, out = run_lines(["MAKE s ab", "DROP s", "MAKE s cd",
+                             "MAKE t xy", "INTRO s 3 t", "MAKECN t 2 65 66",
+                             "EXTRACT s 1 2 t2", "INTRO s 1 t2",
+                             "EXTRACT t 2 1 t2", "RETRIEVE s 1 4",
+                             "RETRIEVE t2 1 2"], shadow=shadow)
+    assert result.exit_code == 0, result.error
+    assert out == "cdxy\nBA\n"
+    result, _ = run_lines(["MAKE s ab", "DROP s", "ACCESS s 1"],
+                          shadow=shadow)
+    assert result.exit_code == 2
+    assert result.error.startswith("HandleError")
+    result, _ = run_lines(["MAKE s ab", "MAKE s cd"], shadow=shadow)
+    assert result.exit_code == 1
+    assert "already exists" in result.error
+
+
+@pytest.mark.parametrize("shadow", [False, True])
+def test_a_signed_symbol_code_is_a_domain_error(shadow):
+    # SUB and INS read a signed code as MAKEN does, so the forest rejects
+    # it as a DomainError (exit 2), not the parser (exit 1).
+    for line in ("SUB s 1 -3", "INS s 1 -3", "MAKEN t 1 -5"):
+        result, _ = run_lines(["MAKE s ab", line], shadow=shadow)
+        assert result.exit_code == 2, line
+        assert result.error.startswith("DomainError"), line
+    result, out = run_lines(["MAKE s ab", "SUB s 1 7", "INS s 1 +",
+                             "SUB s 2 66", "RETRIEVE s 1 3"], shadow=shadow)
+    assert result.exit_code == 0
+    assert out == "+Bb\n"
+    result, _ = run_lines(["MAKE s ab", "SUB s 1 xy"], shadow=shadow)
+    assert result.exit_code == 1
+
+
 def test_shadowed_runtime_error_keeps_its_exit_code():
     result, out = run_lines(["MAKE s ab", "ACCESS s 9"], shadow=True)
     assert result.exit_code == 2

@@ -216,7 +216,7 @@ def test_empty_circular_string_round_trip():
     forest = Forest(seed=1)
     s = forest.make_string("ab", mode=CIRCULAR)
     piece = forest.extract(s, 1, 2)
-    assert s.length == 0 and s.start == 1
+    assert s.length == 0 and s.tree.root is None
     forest.introduce(s, 1, piece)
     assert forest.retrieve(s, 1, 2) == [ord("a"), ord("b")]
 

@@ -681,53 +681,81 @@ class _FaultyInvolution(dict):
         return super().get(key, default)
 
 
-def _scrambled_map_case():
+FLIP = {c: c ^ 1 for c in range(8)}
+
+
+def _scrambled_map_case(mode=LINEAR):
     """A 500-symbol string with stale mapped pairs and pending flags."""
     rng = random.Random(41)
-    flip = {c: c ^ 1 for c in range(8)}
-    forest = Forest(seed=41, involution=flip)
+    forest = Forest(seed=41, involution=FLIP)
     w = [rng.randrange(8) for _ in range(500)]
-    s = forest.make_string(w)
+    s = forest.make_string(w, mode)
     for _ in range(300):
         forest.access(s, rng.randint(1, 500))
     for _ in range(12):
         i, j = sorted(rng.sample(range(1, 501), 2))
         if rng.random() < 0.5:
             forest.map(s, i, j)
-            w[i - 1:j] = [flip[c] for c in w[i - 1:j]]
+            w[i - 1:j] = [FLIP[c] for c in w[i - 1:j]]
         else:
             forest.reverse(s, i, j)
             w[i - 1:j] = w[i - 1:j][::-1]
-    table = _FaultyInvolution(flip)
+    if mode == CIRCULAR:
+        # Flags the right spine of [451..500], which a turn's join walks.
+        forest.map(s, 451, 500)
+        w[450:] = [FLIP[c] for c in w[450:]]
+    table = _FaultyInvolution(FLIP)
     forest.cfg.fmap = table
     return forest, s, w, table
 
 
-def test_map_leaves_string_intact_after_an_involution_fault():
-    # The k-th involution lookup of map(s, 40, 460) raises, for every k the
-    # map reaches: in the descents' fixes and in the refresh of stale
-    # mapped pairs.  The flag is set only once the refresh has completed,
-    # so a fault leaves the content as it was and both invariants intact.
+def _walk_involution_faults(mode, op, i, j):
+    """Run op(s, i, j) on the scrambled case with its k-th involution
+    lookup raising, for every k the op reaches.  Each fault must leave the
+    content as it was and every invariant intact; a second call then
+    completes the op.  Returns the last k and the op's mapped refreshes."""
     k = 0
     while True:
         k += 1
-        forest, s, w, table = _scrambled_map_case()
+        forest, s, w, table = _scrambled_map_case(mode)
+        oracle = OracleForest(involution=FLIP)
+        o = oracle.make_string(w, mode)
+        getattr(oracle, op)(o, i, j)
         before = forest.stats.mapped_refreshes
         table.fault_at = k
         try:
-            forest.map(s, 40, 460)
+            getattr(forest, op)(s, i, j)
         except InjectedFault:
             table.fault_at = 0
             sc.verify_tree(s.tree.root, forest.cfg)
-            assert full(forest, s) == w, k
-            forest.map(s, 40, 460)  # a later map completes the refresh
+            assert full(forest, s) == w, (op, k)
+            getattr(forest, op)(s, i, j)
         else:
             break
-        w[39:460] = [c ^ 1 for c in w[39:460]]
         sc.verify_tree(s.tree.root, forest.cfg)
-        assert full(forest, s) == w, k
-    refreshed = forest.stats.mapped_refreshes - before
+        assert full(forest, s) == o.symbols, (op, k)
+    return k, forest.stats.mapped_refreshes - before
+
+
+def test_map_leaves_string_intact_after_an_involution_fault():
+    # The k-th involution lookup raises, in the descents' fixes and in the
+    # refresh of stale mapped pairs.  The flag is set only once the refresh
+    # has completed, so a fault leaves the content as it was and both
+    # invariants intact.
+    k, refreshed = _walk_involution_faults(LINEAR, "map", 40, 460)
     assert k > refreshed > 50  # so the walk had faults injected
+    # A wrapped map flags its two pieces only once both are refreshed.
+    k, refreshed = _walk_involution_faults(CIRCULAR, "map", 460, 40)
+    assert k > refreshed > 20
+    # A wrapped reverse turns the string, reverses and turns back; the
+    # turn back runs also when a fault cuts the reversal short, and cannot
+    # fault itself.  The whole circle turns once and needs no turn back.
+    for i, j in ((320, 131), (300, 299)):
+        k, _ = _walk_involution_faults(CIRCULAR, "reverse", i, j)
+        assert k > 5
+    # A wrapped extract turns back when the isolate after its turn faults.
+    k, _ = _walk_involution_faults(CIRCULAR, "extract", 260, 240)
+    assert k > 5
 
 
 # ------------------------------------------------------------------- stats
