@@ -10,7 +10,7 @@ from .circular import INFINITE, OmegaLength
 from .compare import Order
 from .errors import DomainError, FestError, HandleError, RangeError, \
     UsageError
-from .fingerprint import DEFAULT_MODULUS, EMPTY_FP, FingerprintContext, Fp
+from .fingerprint import DEFAULT_MODULUS, FingerprintContext
 from .forest import CIRCULAR, LINEAR, DynString, Forest, ForestStats
 
 __all__ = [
@@ -18,12 +18,10 @@ __all__ = [
     "DEFAULT_MODULUS",
     "DomainError",
     "DynString",
-    "EMPTY_FP",
     "FestError",
     "FingerprintContext",
     "Forest",
     "ForestStats",
-    "Fp",
     "HandleError",
     "INFINITE",
     "LINEAR",

@@ -24,7 +24,7 @@ import enum
 from functools import partial
 
 from . import splaycore as sc
-from .compare import LcpProbes, Order, lcp_pipeline
+from .compare import Order, lcp_pipeline
 from .errors import RangeError, UsageError
 
 
@@ -73,13 +73,13 @@ def rotate_to_front(forest, s, i: int) -> None:
     If the join raises, the pieces are joined back as they were, which
     fixes no node, so s is either turned or untouched.
     """
-    cfg = forest.cfg
-    left, right = sc.split(s.tree, i - 1, cfg, forest.stats)
+    ctx = forest.ctx
+    left, right = sc.split(s.tree, i - 1, ctx, forest.stats)
     try:
-        s.tree.root = sc.join(right, left, cfg, forest.stats)
+        s.tree.root = sc.join(right, left, ctx, forest.stats)
     except BaseException:
         # `left` is rooted at its last node, so this join walks no spine.
-        s.tree.root = sc.join(left, right, cfg, forest.stats)
+        s.tree.root = sc.join(left, right, ctx, forest.stats)
         raise
 
 
@@ -90,13 +90,13 @@ def _slice_fp(forest, s, q: int, length: int) -> int:
     if length == 0:
         return 0
     n = s.tree.size
-    cfg = forest.cfg
+    ctx = forest.ctx
     if q + length - 1 <= n:
-        return sc.isolate(s.tree, q, q + length - 1, cfg, forest.stats).fp
+        return sc.isolate(s.tree, q, q + length - 1, ctx, forest.stats).fp
     tail = length - (n - q + 1)
-    f_head = sc.isolate(s.tree, q, n, cfg, forest.stats).fp
-    f_tail = sc.isolate(s.tree, 1, tail, cfg, forest.stats).fp
-    return (f_head * cfg.pw[tail] + f_tail) % cfg.modulus
+    f_head = sc.isolate(s.tree, q, n, ctx, forest.stats).fp
+    f_tail = sc.isolate(s.tree, 1, tail, ctx, forest.stats).fp
+    return (f_head * ctx.pw[tail] + f_tail) % ctx.modulus
 
 
 def _omega_fp(forest, s, i: int, length: int) -> int:
@@ -110,10 +110,10 @@ def _omega_fp(forest, s, i: int, length: int) -> int:
     if copies == 0:
         return part_fp
     turn_fp = _slice_fp(forest, s, i, n)
-    cfg = forest.cfg
-    p = cfg.modulus
-    geo = forest.ctx.geomsum(cfg.pw[n], copies - 1)
-    return (turn_fp * geo % p * cfg.pw[part] + part_fp) % p
+    ctx = forest.ctx
+    p = ctx.modulus
+    geo = ctx.geomsum(ctx.pw[n], copies - 1)
+    return (turn_fp * geo % p * ctx.pw[part] + part_fp) % p
 
 
 # ------------------------------------------------------- unrolled queries
@@ -179,11 +179,6 @@ def lcp_omega(forest, s1, i1: int, s2, i2: int):
     _require_circular(s2)
     _check_pos(s1, i1)
     _check_pos(s2, i2)
-    rec = LcpProbes()
-    forest.stats.lcp_calls += 1
-    forest.stats.last_lcp = rec
-    if s1 is s2 and i1 == i2:
-        return INFINITE, Order.EQUAL
     cap = cap_length(s1, s2)
 
     def side(s, i):
@@ -194,8 +189,5 @@ def lcp_omega(forest, s1, i1: int, s2, i2: int):
                 _omega_symbol(forest, s2, i2, t))
 
     out = lcp_pipeline(forest, (side(s1, i1), side(s2, i2)), cap, cap,
-                       symbols, rec)
-    if out is None:
-        return INFINITE, Order.EQUAL
-    forest.stats.lcp_squaring_probes += rec.squaring
-    return out
+                       symbols)
+    return (INFINITE, Order.EQUAL) if out is None else out

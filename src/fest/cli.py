@@ -39,9 +39,9 @@ from typing import Callable, NamedTuple
 
 from .circular import INFINITE
 from .errors import FestError
+from .fingerprint import validate_involution
 from .forest import CIRCULAR, LINEAR, Forest
 from .oracle import OracleForest
-from .splaycore import validate_involution
 
 
 class ScriptError(Exception):

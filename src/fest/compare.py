@@ -100,16 +100,23 @@ def exponential_search(eq_at, lo: int, hi: int, rec: LcpProbes) -> int:
     return lo
 
 
-def lcp_pipeline(forest, sides, full: int, total: int, symbols,
-                 rec: LcpProbes):
+def lcp_pipeline(forest, sides, full: int, total: int, symbols):
     """(length, order) of the longest common prefix of two sides, or None
-    when their first `full` symbols agree.
+    when both are one (string, start) or their first `full` symbols agree.
 
     sides are two (string, stored start, in-place prefix fp) triples, as
     `Windows` takes them; symbols(t) gives the two sides' t-th symbols.
     total sets the mid-scale probe, min(2^ceil((log2 total)^(2/3)), full).
+    Every call counts as one lcp in forest.stats and leaves its probe record
+    in stats.last_lcp.
     """
-    (_, _, fp1), (_, _, fp2) = sides
+    stats = forest.stats
+    rec = LcpProbes()
+    stats.lcp_calls += 1
+    stats.last_lcp = rec
+    (s1, a1, fp1), (s2, a2, fp2) = sides
+    if s1 is s2 and a1 == a2:
+        return None
 
     def eq_at(t):
         return fp1(t) == fp2(t)
@@ -147,6 +154,7 @@ def lcp_pipeline(forest, sides, full: int, total: int, symbols,
         if not mid_equal:
             lo, upper = squaring_upper_bound(window_eq, 2, mid, rec)
         length = exponential_search(window_eq, lo, upper, rec)
+    stats.lcp_squaring_probes += rec.squaring  # 0 on the earlier returns
     return length, order_of(*symbols(length + 1))
 
 

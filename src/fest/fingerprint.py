@@ -1,15 +1,17 @@
-"""Rolling-hash arithmetic over a prime field.
+"""Rolling-hash arithmetic over a prime field: one context per forest.
 
 A string s[1..n] is summarized by the residue
 (s[1]*b^(n-1) + s[2]*b^(n-2) + ... + s[n]) mod p for a random base b.
-Values are carried around as `Fp` triples (residue, b^n mod p, n) so that
-two summaries compose in constant time without modular exponentiation.
+Two residues compose by the Karp-Rabin concatenation
+fp(uv) = fp(u)*b^|v| + fp(v), whose base power comes from the context's
+table `pw`, and k copies of u by fp(u) * (1 + d + ... + d^(k-1)) with
+d = b^|u| (`geomsum`).  The same context holds the symbol involution that
+the trees' mapped fingerprints use.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import DomainError, UsageError
 
@@ -43,37 +45,39 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Fp:
-    """Fingerprint of a concrete string: residue, base power, and length.
-
-    Invariant: power == b^length mod p.
-    """
-
-    fp: int
-    power: int
-    length: int
-
-
-EMPTY_FP = Fp(fp=0, power=1, length=0)
+def validate_involution(pairs) -> dict:
+    """Build and check a symbol involution table; raises on violations."""
+    table = dict(pairs)
+    for a, b in table.items():
+        if table.get(b, b) != a:
+            raise UsageError(f"mapping is not an involution at {a} <-> {b}")
+    return table
 
 
 class FingerprintContext:
-    """Owns the modulus and the random base; all residue math flows through it.
+    """A forest's arithmetic: the modulus, the random base, the symbol
+    involution and the table of base powers.
 
-    Immutable after construction and freely shareable between threads.  The
-    seed is recorded so failing runs can be replayed with the same base.
+    The seed is recorded so failing runs can be replayed with the same base.
     With seed=None a 64-bit seed is drawn from the operating system's
     CSPRNG, so the default base cannot be predicted from the input, as the
     whp bound assumes.  `random.SystemRandom` is the generator behind
     `secrets`; importing `secrets` itself would load OpenSSL's hash bindings
     (about 3.7 MiB of resident memory) for no other use.
+
+    fmap is a dict applying the symbol involution (absent keys map to
+    themselves) or None when no involution is configured, in which case the
+    mapped fingerprints alias the plain ones and cost nothing to maintain.
+
+    pw[k] = b^k mod p for k = 0 .. the longest tree reserved so far; it only
+    grows, one entry per symbol of that tree.
     """
 
-    __slots__ = ("modulus", "base", "seed")
+    __slots__ = ("modulus", "base", "seed", "fmap", "pw")
 
     def __init__(self, seed: int | None = None,
-                 modulus: int = DEFAULT_MODULUS, base: int | None = None):
+                 modulus: int = DEFAULT_MODULUS, base: int | None = None,
+                 involution=None):
         if not _is_prime(modulus):
             raise UsageError(f"modulus {modulus} is not prime")
         if seed is None:
@@ -85,30 +89,37 @@ class FingerprintContext:
         self.modulus = modulus
         self.base = base
         self.seed = seed
+        self.fmap = None if involution is None \
+            else validate_involution(involution)
+        self.pw = [1]
 
     def __repr__(self):
         return (f"FingerprintContext(seed={self.seed}, "
                 f"modulus={self.modulus}, base={self.base})")
 
-    def eval(self, symbols) -> Fp:
+    def reserve(self, n: int) -> None:
+        """Extend pw so that pw[n] exists."""
+        pw = self.pw
+        k = len(pw)
+        if k > n:
+            return
+        b = self.base
+        p = self.modulus
+        x = pw[-1]
+        for _ in range(n + 1 - k):
+            x = x * b % p
+            pw.append(x)
+
+    def eval(self, symbols) -> int:
         """Fingerprint a concrete symbol sequence by Horner evaluation."""
         p = self.modulus
         b = self.base
         acc = 0
-        n = 0
         for c in symbols:
             if not 0 <= c < p:
                 raise DomainError(f"symbol {c} outside [0, {p})")
             acc = (acc * b + c) % p
-            n += 1
-        return Fp(acc, pow(b, n, p), n)
-
-    def concat(self, left: Fp, right: Fp) -> Fp:
-        """Fingerprint of the concatenation, from the parts' fingerprints."""
-        p = self.modulus
-        return Fp((left.fp * right.power + right.fp) % p,
-                  left.power * right.power % p,
-                  left.length + right.length)
+        return acc
 
     def geomsum(self, d: int, k: int) -> int:
         """(d^k + d^(k-1) + ... + 1) mod p in O(log k) multiplications.
@@ -135,18 +146,3 @@ class FingerprintContext:
                 acc = acc * d % p
                 k -= 1
         return (acc + tail) % p
-
-    def power_fp(self, base_fp: Fp, k: int) -> Fp:
-        """Fingerprint of the k-fold self-concatenation of a string.
-
-        k = 0 yields the empty fingerprint (extension beyond the k >= 1 core).
-        """
-        if k < 0:
-            raise UsageError("power_fp needs k >= 0")
-        if k == 0:
-            return EMPTY_FP
-        p = self.modulus
-        d = base_fp.power
-        return Fp(base_fp.fp * self.geomsum(d, k - 1) % p,
-                  pow(d, k, p),
-                  base_fp.length * k)

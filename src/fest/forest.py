@@ -1,8 +1,9 @@
 """The public dynamic-string API: a registry of strings over shared context.
 
 Every string is one self-adjusting tree; all strings share one fingerprint
-context (so substring fingerprints compare across strings) and one optional
-symbol involution.  Indices are 1-based throughout.
+context, `Forest.ctx` (so substring fingerprints compare across strings),
+which also holds the optional symbol involution.  Indices are 1-based
+throughout.
 
 A Forest is single-threaded: queries splay, so even reads mutate.
 """
@@ -77,25 +78,24 @@ class Forest:
 
     seed drives the random fingerprint base, so failures replay exactly;
     with seed=None it is drawn at random and recorded in `ctx.seed`.
-    involution, when given, is a symbol self-inverse mapping used by map().
+    involution, when given, is a symbol self-inverse mapping used by map(),
+    kept as `ctx.fmap`.
     With audit=True every public operation re-verifies all aggregates of the
     trees it touched (slow; for tests).
     """
 
     def __init__(self, seed: int | None = None, involution=None,
                  audit: bool = False):
-        self.ctx = FingerprintContext(seed=seed)
-        fmap = None if involution is None else sc.validate_involution(involution)
-        self.cfg = sc.TreeConfig(self.ctx.base, self.ctx.modulus, fmap)
+        self.ctx = FingerprintContext(seed=seed, involution=involution)
         self.stats = ForestStats()
         self.audit = audit
         self._strings: dict[int, DynString] = {}
         self._next_id = 0
-        self.total_length = 0
 
     @property
-    def involution(self):
-        return self.cfg.fmap
+    def total_length(self) -> int:
+        """The number of symbols over all live strings."""
+        return sum(s.tree.size for s in self._strings.values())
 
     def live_handles(self):
         return list(self._strings.values())
@@ -122,7 +122,7 @@ class Forest:
         if self.audit:
             for s in touched:
                 if s.alive:
-                    sc.verify_tree(s.tree.root, self.cfg)
+                    sc.verify_tree(s.tree.root, self.ctx)
 
     # ----------------------------------------------------------- creation
 
@@ -131,8 +131,7 @@ class Forest:
         if mode not in (LINEAR, CIRCULAR):
             raise UsageError(f"unknown mode {mode!r}")
         syms = _as_symbols(w)
-        s = self._register(sc.build_balanced(syms, self.cfg), mode)
-        self.total_length += len(syms)
+        s = self._register(sc.build_balanced(syms, self.ctx), mode)
         self._after(s)
         return s
 
@@ -142,7 +141,7 @@ class Forest:
         """The symbol at position i."""
         self._check(s)
         self.stats.finds += 1
-        node = sc.find(s.tree, i, self.cfg, self.stats)
+        node = sc.find(s.tree, i, self.ctx, self.stats)
         self._after(s)
         return node.char
 
@@ -156,9 +155,9 @@ class Forest:
         if s.mode == LINEAR and i == j + 1 and 1 <= i <= s.length + 1:
             return []
         pieces = self._pieces(s, i, j)
-        out = sc.inorder_symbols(next(pieces), self.cfg, self.stats)
+        out = sc.inorder_symbols(next(pieces), self.ctx, self.stats)
         for y in pieces:
-            out += sc.inorder_symbols(y, self.cfg, self.stats)
+            out += sc.inorder_symbols(y, self.ctx, self.stats)
         self._after(s)
         return out
 
@@ -184,10 +183,10 @@ class Forest:
         self._check(s)
         (c,) = _as_symbols([c])
         self.stats.finds += 1
-        node = sc.find(s.tree, i, self.cfg, self.stats)
+        ctx = self.ctx
+        node = sc.find(s.tree, i, ctx, self.stats)
         node.char = c
-        cfg = self.cfg
-        sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
+        sc.pull(node, ctx.base, ctx.modulus, ctx.pw, ctx.fmap)
         self._after(s)
 
     def insert(self, s: DynString, i: int, c: int) -> None:
@@ -197,34 +196,33 @@ class Forest:
         n = s.length
         if not 1 <= i <= n + 1:
             raise RangeError(f"insert position {i} outside [1, {n + 1}]")
-        cfg = self.cfg
-        cfg.reserve(n + 1)
+        ctx = self.ctx
+        ctx.reserve(n + 1)
         node = sc.Node(c)
         tree = s.tree
         if n == 0:
-            sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
+            sc.pull(node, ctx.base, ctx.modulus, ctx.pw, ctx.fmap)
             tree.root = node
         elif i == n + 1:
             # Append: the old root becomes the new node's left subtree.
-            sc.find(tree, n, cfg, self.stats)
+            sc.find(tree, n, ctx, self.stats)
             old = tree.root
             node.left = old
             old.parent = node
-            sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
+            sc.pull(node, ctx.base, ctx.modulus, ctx.pw, ctx.fmap)
             tree.root = node
         else:
-            sc.find(tree, i, cfg, self.stats)
+            sc.find(tree, i, ctx, self.stats)
             x = tree.root
             node.left = x.left
             if node.left is not sc.NULL:
                 node.left.parent = node
             x.left = sc.NULL
-            sc.pull(x, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
+            sc.pull(x, ctx.base, ctx.modulus, ctx.pw, ctx.fmap)
             node.right = x
             x.parent = node
-            sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
+            sc.pull(node, ctx.base, ctx.modulus, ctx.pw, ctx.fmap)
             tree.root = node
-        self.total_length += 1
         self._after(s)
 
     def delete(self, s: DynString, i: int) -> None:
@@ -233,21 +231,24 @@ class Forest:
         if not 1 <= i <= s.length:
             raise RangeError(f"position {i} outside [1, {s.length}]")
         self.stats.finds += 1
-        x = sc.find(s.tree, i, self.cfg, self.stats)
+        x = sc.find(s.tree, i, self.ctx, self.stats)
         left = x.left if x.left is not sc.NULL else None
         right = x.right if x.right is not sc.NULL else None
         if left is not None:
             left.parent = None
         if right is not None:
             right.parent = None
-        s.tree.root = sc.join(left, right, self.cfg, self.stats)
-        self.total_length -= 1
+        s.tree.root = sc.join(left, right, self.ctx, self.stats)
         self._after(s)
 
     # ----------------------------------------------- splicing and slicing
 
     def introduce(self, s1: DynString, i: int, s2: DynString) -> None:
-        """Splice all of s2 into s1 before position i, destroying s2."""
+        """Splice all of s2 into s1 before position i, destroying s2.
+
+        s2 dies only once the attach point is isolated, so a fault in that
+        descent leaves both strings as they were.
+        """
         self._check(s1)
         self._check(s2)
         if s1 is s2:
@@ -255,18 +256,17 @@ class Forest:
         if not 1 <= i <= s1.length + 1:
             raise RangeError(
                 f"introduce position {i} outside [1, {s1.length + 1}]")
-        self.cfg.reserve(s1.length + s2.length)
+        self.ctx.reserve(s1.length + s2.length)
         sub = s2.tree.root
-        self._destroy(s2)
         if sub is not None:
-            point = sc.isolate(s1.tree, i, i - 1, self.cfg, self.stats)
-            sc.attach(point, sub, self.cfg, s1.tree)
+            point = sc.isolate(s1.tree, i, i - 1, self.ctx, self.stats)
+            sc.attach(point, sub, self.ctx, s1.tree)
+        self._destroy(s2)
         self._after(s1)
 
     def drop(self, s: DynString) -> None:
         """Destroy s and its symbols in O(1); the handle dies."""
         self._check(s)
-        self.total_length -= s.length
         self._destroy(s)
 
     def extract(self, s: DynString, i: int, j: int) -> DynString:
@@ -279,12 +279,12 @@ class Forest:
         self._check(s)
         a, b, back = self._turned(s, i, j)
         try:
-            y = sc.isolate(s.tree, a, b, self.cfg, self.stats)
+            y = sc.isolate(s.tree, a, b, self.ctx, self.stats)
         except BaseException:
             if back:
                 _circ.rotate_to_front(self, s, back)
             raise
-        sc.detach(y, self.cfg, s.tree)
+        sc.detach(y, self.ctx, s.tree)
         out = self._register(y, LINEAR)
         self._after(s, out)
         return out
@@ -313,10 +313,10 @@ class Forest:
                 # within two levels of the root, and the turn back meets
                 # only fixed nodes: it calls no involution, so it cannot
                 # fail once the range is reversed.
-                sc.find(s.tree, j + 1, self.cfg, self.stats)
-            y = sc.isolate(s.tree, a, b, self.cfg, self.stats)
+                sc.find(s.tree, j + 1, self.ctx, self.stats)
+            y = sc.isolate(s.tree, a, b, self.ctx, self.stats)
             y.rev = not y.rev
-            sc.repull_ancestors_from(y.parent, self.cfg)
+            sc.repull_ancestors_from(y.parent, self.ctx)
         finally:
             if back:
                 _circ.rotate_to_front(self, s, back)
@@ -329,8 +329,8 @@ class Forest:
         circle, one piece.
         """
         self._check(s)
-        cfg = self.cfg
-        if cfg.fmap is None:
+        ctx = self.ctx
+        if ctx.fmap is None:
             raise UsageError("forest has no involution configured")
         if i == j + 1 and self._wraps(s, i, j):
             i, j = 1, s.length
@@ -338,10 +338,10 @@ class Forest:
         # A map-flagged subtree must be fresh; the flags go on only once
         # every piece has been refreshed.
         for y in pieces:
-            self.stats.mapped_refreshes += sc.refresh_mapped(y, cfg)
+            self.stats.mapped_refreshes += sc.refresh_mapped(y, ctx)
         for y in pieces:
             y.map = not y.map
-            sc.repull_ancestors_from(y.parent, cfg)
+            sc.repull_ancestors_from(y.parent, ctx)
         self._after(s)
 
     # --------------------------------------------------- circular/omega ops
@@ -394,19 +394,8 @@ class Forest:
             raise RangeError(f"suffix start {i1} outside [1, {n1}]")
         if not 1 <= i2 <= n2:
             raise RangeError(f"suffix start {i2} outside [1, {n2}]")
-        rec = LcpProbes()
-        self.stats.lcp_calls += 1
-        self.stats.last_lcp = rec
-        if s1 is s2 and i1 == i2:
-            return n1 - i1 + 1, Order.EQUAL
-        result = self._lcp_impl(s1, i1, s2, i2, rec)
-        self.stats.lcp_squaring_probes += rec.squaring
-        self._after(s1, s2)
-        return result
-
-    def _lcp_impl(self, s1, i1, s2, i2, rec) -> tuple[int, Order]:
-        m1 = s1.length - i1 + 1
-        m2 = s2.length - i2 + 1
+        m1 = n1 - i1 + 1
+        m2 = n2 - i2 + 1
 
         def side(s, i):
             return s, i, partial(self._prefix_fp, s.tree, i)
@@ -415,8 +404,9 @@ class Forest:
             return self.access(s1, i1 + t - 1), self.access(s2, i2 + t - 1)
 
         out = lcp_pipeline(self, (side(s1, i1), side(s2, i2)), min(m1, m2),
-                           s1.length + s2.length, symbols, rec)
-        if out is None:  # the shorter suffix is a prefix of the longer
+                           n1 + n2, symbols)
+        self._after(s1, s2)
+        if out is None:  # one suffix is a prefix of the other
             return min(m1, m2), order_of(m1, m2)
         return out
 
@@ -441,10 +431,10 @@ class Forest:
         the left of node i-1; for i = j + 1 it does not.
         """
         if self._wraps(s, i, j):
-            yield sc.isolate(s.tree, i, s.length, self.cfg, self.stats)
-            yield sc.isolate(s.tree, 1, j, self.cfg, self.stats)
+            yield sc.isolate(s.tree, i, s.length, self.ctx, self.stats)
+            yield sc.isolate(s.tree, 1, j, self.ctx, self.stats)
         else:
-            yield sc.isolate(s.tree, i, j, self.cfg, self.stats)
+            yield sc.isolate(s.tree, i, j, self.ctx, self.stats)
 
     def _turned(self, s, i, j) -> tuple[int, int, int | None]:
         """(a, b, back): the range i..j sits at a..b once a wrapped range
@@ -471,14 +461,14 @@ class Forest:
 
     def _prefix_fp(self, tree, a, t) -> int:
         """Fingerprint of the t symbols from stored position a."""
-        y = sc.isolate(tree, a, a + t - 1, self.cfg, self.stats)
+        y = sc.isolate(tree, a, a + t - 1, self.ctx, self.stats)
         return y.fp
 
     def _extract_window(self, tree, a, b) -> sc.Tree:
-        y = sc.isolate(tree, a, b, self.cfg, self.stats)
-        sc.detach(y, self.cfg, tree)
+        y = sc.isolate(tree, a, b, self.ctx, self.stats)
+        sc.detach(y, self.ctx, tree)
         return sc.Tree(y)
 
     def _reintroduce_window(self, tree, pos, window: sc.Tree) -> None:
-        point = sc.isolate(tree, pos, pos - 1, self.cfg, self.stats)
-        sc.attach(point, window.root, self.cfg, tree)
+        point = sc.isolate(tree, pos, pos - 1, self.ctx, self.stats)
+        sc.attach(point, window.root, self.ctx, tree)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .circular import INFINITE
 from .compare import Order, order_of
 from .errors import DomainError, HandleError, RangeError, UsageError
+from .fingerprint import validate_involution
 from .forest import CIRCULAR, LINEAR, MAX_SYMBOL
-from .splaycore import validate_involution
 
 
 class OracleString:

@@ -9,10 +9,11 @@ has not been pushed down yet.
 
 The base power b^size that the Karp-Rabin concatenation
 fp(uv) = fp(u)*b^|v| + fp(v) needs depends on the size alone, so it is read
-from one table per forest, `TreeConfig.pw`, and not stored per node.  The
-table must cover every tree built over the config: `build_balanced`
-reserves its length, and a caller that makes a tree longer than the table
-(an insert, a splice of two trees) calls `TreeConfig.reserve` first.
+from the table `pw` of the forest's `FingerprintContext`, which the
+functions here take as `cfg`, and not stored per node.  The table must
+cover every tree built over the context: `build_balanced` reserves its
+length, and a caller that makes a tree longer than the table (an insert, a
+splice of two trees) calls `cfg.reserve` first.
 
 Stored aggregates of a node always describe the subtree *before* that
 node's own pending flags are applied, with every descendant interpreted
@@ -47,12 +48,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RangeError, UsageError
+from .errors import RangeError
+from .fingerprint import FingerprintContext
 
 
 class Node:
     """One symbol plus subtree aggregates (size and four fingerprints) and
-    lazy flags.  The subtree's base power is `TreeConfig.pw[size]`.
+    lazy flags.  The subtree's base power is `cfg.pw[size]`.
 
     Freshly constructed nodes hold placeholder aggregates; every creation
     site must pull() before the node is read.
@@ -96,40 +98,6 @@ NULL.rev = False
 NULL.map = False
 
 
-class TreeConfig:
-    """Per-forest arithmetic context: fingerprint base, modulus, involution,
-    and the table of base powers.
-
-    fmap is a dict applying the symbol involution (absent keys map to
-    themselves) or None when no involution is configured, in which case the
-    mapped fingerprints alias the plain ones and cost nothing to maintain.
-
-    pw[k] = b^k mod p for k = 0 .. the longest tree reserved so far; it only
-    grows, one entry per symbol of that tree.
-    """
-
-    __slots__ = ("base", "modulus", "fmap", "pw")
-
-    def __init__(self, base: int, modulus: int, fmap: dict | None = None):
-        self.base = base
-        self.modulus = modulus
-        self.fmap = fmap
-        self.pw = [1]
-
-    def reserve(self, n: int) -> None:
-        """Extend pw so that pw[n] exists."""
-        pw = self.pw
-        k = len(pw)
-        if k > n:
-            return
-        b = self.base
-        p = self.modulus
-        x = pw[-1]
-        for _ in range(n + 1 - k):
-            x = x * b % p
-            pw.append(x)
-
-
 @dataclass
 class TreeStats:
     """Exact instrumentation counters (not sampled)."""
@@ -161,15 +129,6 @@ class Tree:
     @property
     def size(self) -> int:
         return self.root.size if self.root is not None else 0
-
-
-def validate_involution(pairs) -> dict:
-    """Build and check a symbol involution table; raises on violations."""
-    table = dict(pairs)
-    for a, b in table.items():
-        if table.get(b, b) != a:
-            raise UsageError(f"mapping is not an involution at {a} <-> {b}")
-    return table
 
 
 def effective_fps(x: Node) -> tuple[int, int, int, int]:
@@ -232,7 +191,7 @@ def pull(x: Node, b: int, p: int, pw: list, fmap: dict | None) -> None:
         x.mfp = x.mfprev = None
 
 
-def refresh_mapped(y: Node, cfg: TreeConfig) -> int:
+def refresh_mapped(y: Node, cfg: FingerprintContext) -> int:
     """Recompute every stale mapped pair in y's subtree; return how many.
 
     Collects the stale nodes in pre-order, descending only into stale
@@ -346,7 +305,7 @@ def _rotate(x: Node, par: Node) -> None:
             g.right = x
 
 
-def splay(x: Node, cfg: TreeConfig, stats: TreeStats,
+def splay(x: Node, cfg: FingerprintContext, stats: TreeStats,
           forbid_final_zigzig: bool = False) -> None:
     """Move x up until it is the root.
 
@@ -397,7 +356,7 @@ def splay(x: Node, cfg: TreeConfig, stats: TreeStats,
     stats.rotations += rotations
 
 
-def descend_to_rank(root: Node, i: int, cfg: TreeConfig,
+def descend_to_rank(root: Node, i: int, cfg: FingerprintContext,
                     stats: TreeStats) -> Node:
     """Walk down to the node of in-order rank i, fixing every visited node."""
     fmap = cfg.fmap
@@ -415,7 +374,7 @@ def descend_to_rank(root: Node, i: int, cfg: TreeConfig,
             x = x.right
 
 
-def find(tree: Tree, i: int, cfg: TreeConfig, stats: TreeStats) -> Node:
+def find(tree: Tree, i: int, cfg: FingerprintContext, stats: TreeStats) -> Node:
     """Select the node of rank i and splay it to the root."""
     if not 1 <= i <= tree.size:
         raise RangeError(f"rank {i} outside [1, {tree.size}]")
@@ -425,7 +384,7 @@ def find(tree: Tree, i: int, cfg: TreeConfig, stats: TreeStats) -> Node:
     return x
 
 
-def isolate(tree: Tree, i: int, j: int, cfg: TreeConfig, stats: TreeStats):
+def isolate(tree: Tree, i: int, j: int, cfg: FingerprintContext, stats: TreeStats):
     """Restructure so the ranks i..j form one subtree; return its root.
 
     The returned node has at most two ancestors: it is the root (i = 1,
@@ -472,7 +431,7 @@ def isolate(tree: Tree, i: int, j: int, cfg: TreeConfig, stats: TreeStats):
     return y
 
 
-def repull_ancestors_from(a: Node | None, cfg: TreeConfig) -> None:
+def repull_ancestors_from(a: Node | None, cfg: FingerprintContext) -> None:
     """Recompute aggregates up an ancestor chain (≤ 2 nodes after isolate)."""
     b = cfg.base
     p = cfg.modulus
@@ -483,7 +442,7 @@ def repull_ancestors_from(a: Node | None, cfg: TreeConfig) -> None:
         a = a.parent
 
 
-def detach(y: Node, cfg: TreeConfig, tree: Tree) -> None:
+def detach(y: Node, cfg: FingerprintContext, tree: Tree) -> None:
     """Remove subtree y from its tree, repulling its former ancestors."""
     par = y.parent
     if par is None:
@@ -497,7 +456,7 @@ def detach(y: Node, cfg: TreeConfig, tree: Tree) -> None:
     repull_ancestors_from(par, cfg)
 
 
-def attach(point: AttachPoint, sub: Node | None, cfg: TreeConfig,
+def attach(point: AttachPoint, sub: Node | None, cfg: FingerprintContext,
            tree: Tree) -> None:
     """Splice subtree sub into the empty slot, repulling the ancestors."""
     if sub is None:
@@ -515,7 +474,7 @@ def attach(point: AttachPoint, sub: Node | None, cfg: TreeConfig,
     repull_ancestors_from(par, cfg)
 
 
-def join(left: Node | None, right: Node | None, cfg: TreeConfig,
+def join(left: Node | None, right: Node | None, cfg: FingerprintContext,
          stats: TreeStats) -> Node | None:
     """Concatenate two trees; all of right goes after all of left."""
     if left is None:
@@ -537,7 +496,7 @@ def join(left: Node | None, right: Node | None, cfg: TreeConfig,
     return x
 
 
-def split(tree: Tree, k: int, cfg: TreeConfig,
+def split(tree: Tree, k: int, cfg: FingerprintContext,
           stats: TreeStats) -> tuple[Node | None, Node | None]:
     """Split after rank k: returns (ranks 1..k, ranks k+1..n)."""
     n = tree.size
@@ -555,7 +514,7 @@ def split(tree: Tree, k: int, cfg: TreeConfig,
     return x, right
 
 
-def build_balanced(symbols, cfg: TreeConfig) -> Node | None:
+def build_balanced(symbols, cfg: FingerprintContext) -> Node | None:
     """Build a perfectly balanced tree over the symbols, in one linear pass.
 
     Reserves the power table for the new tree first.  Aggregates are filled
@@ -591,7 +550,7 @@ def build_balanced(symbols, cfg: TreeConfig) -> Node | None:
     return root
 
 
-def inorder_symbols(root: Node | None, cfg: TreeConfig,
+def inorder_symbols(root: Node | None, cfg: FingerprintContext,
                     stats: TreeStats) -> list[int]:
     """Logical symbol sequence of the subtree, fixing nodes as visited."""
     if root is None:
@@ -663,7 +622,7 @@ def tree_height(root: Node | None) -> int:
     return best
 
 
-def verify_tree(root: Node | None, cfg: TreeConfig) -> None:
+def verify_tree(root: Node | None, cfg: FingerprintContext) -> None:
     """Audit every stored field against a full bottom-up recomputation.
 
     The power table must cover the tree's size and hold b^k at every k.

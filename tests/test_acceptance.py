@@ -86,8 +86,7 @@ def test_criterion_2_aggregate_audit():
 def test_criterion_3_isolate_contract():
     with criterion(3, "isolate yields the exact slice at depth <= 2 "
                       "over 1e4 random ranges"):
-        ctx = FingerprintContext(seed=31)
-        cfg = sc.TreeConfig(ctx.base, ctx.modulus, None)
+        cfg = FingerprintContext(seed=31)
         stats = sc.TreeStats()
         rng = random.Random(31)
         checked = 0
@@ -120,8 +119,7 @@ def test_criterion_3_isolate_contract():
 def test_criterion_4_bulk_load_shape_and_timing():
     with criterion(4, "balanced builds: height bound for n in 1..1024, "
                       "linear-time ratio at n = 2^20"):
-        ctx = FingerprintContext(seed=41)
-        cfg = sc.TreeConfig(ctx.base, ctx.modulus, None)
+        cfg = FingerprintContext(seed=41)
         for n in range(1, 1025):
             root = sc.build_balanced(list(range(n)), cfg)
             assert sc.tree_height(root) <= math.ceil(math.log2(n + 1)), n
@@ -228,7 +226,7 @@ def test_criterion_6_lazy_operation_laws():
 # ---------------------------------------------------------------- criterion 7
 
 def test_criterion_7_omega_algebra():
-    with criterion(7, "geomsum/power_fp against naive oracles; omega queries "
+    with criterion(7, "geomsum against naive oracles; omega queries "
                       "match expansion on 1e4 instances"):
         ctx = FingerprintContext(seed=71)
         rng = random.Random(71)
@@ -244,7 +242,9 @@ def test_criterion_7_omega_algebra():
         for _ in range(300):
             u = [rng.randrange(256) for _ in range(rng.randint(1, 16))]
             k = rng.randint(1, 256)
-            assert ctx.power_fp(ctx.eval(u), k) == ctx.eval(u * k)
+            ctx.reserve(len(u))
+            geo = ctx.geomsum(ctx.pw[len(u)], k - 1)
+            assert ctx.eval(u) * geo % p == ctx.eval(u * k)
 
         forest = Forest(seed=72)
         oracle = OracleForest()

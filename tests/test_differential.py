@@ -160,10 +160,10 @@ def test_sequential_access_spines_stay_consistent():
     s = forest.make_string(w)
     for i in range(1, len(w) + 1):  # drives the tree into a spine
         assert forest.access(s, i) == w[i - 1]
-    sc.verify_tree(s.tree.root, forest.cfg)
+    sc.verify_tree(s.tree.root, forest.ctx)
     forest.reverse(s, 1, len(w))
     assert forest.retrieve(s, 1, len(w)) == w[::-1]
-    sc.verify_tree(s.tree.root, forest.cfg)
+    sc.verify_tree(s.tree.root, forest.ctx)
 
 
 def test_equal_right_after_reverse_reads_effective_fingerprint():
@@ -323,4 +323,4 @@ def test_error_paths_agree_with_oracle(salts):
                 assert a.alive
                 assert (f.retrieve(a, 1, a.length) if a.length
                         else []) == b.symbols
-                sc.verify_tree(a.tree.root, f.cfg)
+                sc.verify_tree(a.tree.root, f.ctx)

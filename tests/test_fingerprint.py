@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fest.errors import DomainError, UsageError
-from fest.fingerprint import DEFAULT_MODULUS, EMPTY_FP, FingerprintContext, Fp
+from fest.fingerprint import DEFAULT_MODULUS, FingerprintContext
 
 
 def naive_fp(symbols, base, modulus):
@@ -34,18 +34,16 @@ def ctx():
 
 
 def test_eval_empty(ctx):
-    assert ctx.eval([]) == Fp(0, 1, 0)
-    assert ctx.eval([]) == EMPTY_FP
+    assert ctx.eval([]) == 0
 
 
 def test_eval_small_modulus_example():
     ctx = FingerprintContext(modulus=101, base=7)
-    assert ctx.eval([1, 2]) == Fp(9, 49, 2)
+    assert ctx.eval([1, 2]) == 9
 
 
 def test_eval_single_symbol(ctx):
-    got = ctx.eval([5])
-    assert got == Fp(5, ctx.base, 1)
+    assert ctx.eval([5]) == 5
 
 
 def test_eval_rejects_out_of_domain():
@@ -60,45 +58,30 @@ def test_eval_matches_naive_oracle(ctx):
     rng = random.Random(1)
     for _ in range(200):
         s = [rng.randrange(0, 1 << 20) for _ in range(rng.randrange(0, 64))]
-        got = ctx.eval(s)
-        assert got.fp == naive_fp(s, ctx.base, ctx.modulus)
-        assert got.power == pow(ctx.base, len(s), ctx.modulus)
-        assert got.length == len(s)
-
-
-def test_concat_identity(ctx):
-    x = ctx.eval([3, 1, 4])
-    assert ctx.concat(EMPTY_FP, x) == x
-    assert ctx.concat(x, EMPTY_FP) == x
-
-
-def test_concat_two_singletons(ctx):
-    assert ctx.concat(ctx.eval([1]), ctx.eval([2])) == ctx.eval([1, 2])
+        assert ctx.eval(s) == naive_fp(s, ctx.base, ctx.modulus)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 255), max_size=64),
        st.lists(st.integers(0, 255), max_size=64))
 def test_concat_matches_eval_of_concatenation(u, v):
+    # fp(uv) = fp(u)·b^|v| + fp(v), with b^|v| read from the power table.
     ctx = FingerprintContext(seed=11)
-    assert ctx.concat(ctx.eval(u), ctx.eval(v)) == ctx.eval(u + v)
+    ctx.reserve(len(v))
+    assert (ctx.eval(u) * ctx.pw[len(v)] + ctx.eval(v)) % ctx.modulus \
+        == ctx.eval(u + v)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 255), max_size=32),
-       st.lists(st.integers(0, 255), max_size=32),
-       st.lists(st.integers(0, 255), max_size=32))
-def test_concat_is_associative(u, v, w):
-    ctx = FingerprintContext(seed=13)
-    a, b, c = ctx.eval(u), ctx.eval(v), ctx.eval(w)
-    assert ctx.concat(ctx.concat(a, b), c) == ctx.concat(a, ctx.concat(b, c))
-
-
-def test_power_field_tracks_length(ctx):
+def test_power_table_tracks_length(ctx):
+    # reserve(n) grows pw to the longest n asked for, never beyond.
     rng = random.Random(3)
+    longest = 0
     for _ in range(50):
-        s = [rng.randrange(256) for _ in range(rng.randrange(0, 1024))]
-        assert ctx.eval(s).power == pow(ctx.base, len(s), ctx.modulus)
+        n = rng.randrange(0, 1024)
+        ctx.reserve(n)
+        longest = max(longest, n)
+        assert len(ctx.pw) == longest + 1
+        assert ctx.pw[n] == pow(ctx.base, n, ctx.modulus)
 
 
 def test_geomsum_base_cases(ctx):
@@ -120,25 +103,15 @@ def test_geomsum_rejects_negative_count(ctx):
         ctx.geomsum(2, -1)
 
 
-def test_power_fp_single_copy(ctx):
-    x = ctx.eval([9, 8, 7])
-    assert ctx.power_fp(x, 1) == x
-
-
-def test_power_fp_zero_copies(ctx):
-    assert ctx.power_fp(ctx.eval([1, 2]), 0) == EMPTY_FP
-
-
-def test_power_fp_small_expansion(ctx):
-    u = [1, 2]
-    assert ctx.power_fp(ctx.eval(u), 3) == ctx.eval(u * 3)
-
-
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 255), st.integers(1, 256))
-def test_power_fp_matches_eval_expansion(c, k):
+@given(st.lists(st.integers(0, 255), min_size=1, max_size=16),
+       st.integers(1, 256))
+def test_geomsum_k_fold_matches_eval_expansion(u, k):
+    # fp(u^k) = fp(u)·(1 + d + ... + d^(k-1)) with d = b^|u|.
     ctx = FingerprintContext(seed=17)
-    assert ctx.power_fp(ctx.eval([c]), k) == ctx.eval([c] * k)
+    ctx.reserve(len(u))
+    geo = ctx.geomsum(ctx.pw[len(u)], k - 1)
+    assert ctx.eval(u) * geo % ctx.modulus == ctx.eval(u * k)
 
 
 def test_collision_soundness_is_one_sided(ctx):
@@ -148,7 +121,7 @@ def test_collision_soundness_is_one_sided(ctx):
         n = rng.randrange(1, 16)
         s = [rng.randrange(4) for _ in range(n)]
         t = [rng.randrange(4) for _ in range(n)]
-        if ctx.eval(s).fp != ctx.eval(t).fp:
+        if ctx.eval(s) != ctx.eval(t):
             assert s != t
 
 

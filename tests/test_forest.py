@@ -57,8 +57,9 @@ def test_make_string_fingerprint_matches_eval(forest):
         s = forest.make_string(w)
         want = forest.ctx.eval(w)
         if w:
-            assert s.tree.root.fp == want.fp
-            assert forest.cfg.pw[s.length] == want.power
+            assert s.tree.root.fp == want
+            assert forest.ctx.pw[s.length] == pow(forest.ctx.base, len(w),
+                                                  forest.ctx.modulus)
 
 
 def test_access_basic(forest):
@@ -123,7 +124,7 @@ def test_substitute_identity_keeps_fingerprint(forest):
     before = s.tree.root.fp
     forest.substitute(s, 3, forest.access(s, 3))
     forest.access(s, 1)  # splay around; fingerprint of the root must agree
-    y = sc.isolate(s.tree, 1, 6, forest.cfg, forest.stats)
+    y = sc.isolate(s.tree, 1, 6, forest.ctx, forest.stats)
     assert y.fp == before
 
 
@@ -552,7 +553,7 @@ def test_deep_spines_never_recurse():
     for i in range(1, n, 997):  # sorted accesses degrade the shape
         forest.access(s, i)
     assert forest.retrieve(s, 1, n) == [1] * n
-    sc.verify_tree(s.tree.root, forest.cfg)
+    sc.verify_tree(s.tree.root, forest.ctx)
     assert sc.logical_symbols(s.tree.root, None) == [1] * n
 
 
@@ -659,7 +660,7 @@ def test_lcp_restores_strings_after_a_fault(monkeypatch, case):
             break
         except InjectedFault:
             for s in forest.live_handles():
-                sc.verify_tree(s.tree.root, forest.cfg)
+                sc.verify_tree(s.tree.root, forest.ctx)
             assert {s.id: full(forest, s)
                     for s in forest.live_handles()} == before, fault_at[0]
     assert got == want
@@ -705,7 +706,7 @@ def _scrambled_map_case(mode=LINEAR):
         forest.map(s, 451, 500)
         w[450:] = [FLIP[c] for c in w[450:]]
     table = _FaultyInvolution(FLIP)
-    forest.cfg.fmap = table
+    forest.ctx.fmap = table
     return forest, s, w, table
 
 
@@ -727,12 +728,12 @@ def _walk_involution_faults(mode, op, i, j):
             getattr(forest, op)(s, i, j)
         except InjectedFault:
             table.fault_at = 0
-            sc.verify_tree(s.tree.root, forest.cfg)
+            sc.verify_tree(s.tree.root, forest.ctx)
             assert full(forest, s) == w, (op, k)
             getattr(forest, op)(s, i, j)
         else:
             break
-        sc.verify_tree(s.tree.root, forest.cfg)
+        sc.verify_tree(s.tree.root, forest.ctx)
         assert full(forest, s) == o.symbols, (op, k)
     return k, forest.stats.mapped_refreshes - before
 
@@ -756,6 +757,40 @@ def test_map_leaves_string_intact_after_an_involution_fault():
     # A wrapped extract turns back when the isolate after its turn faults.
     k, _ = _walk_involution_faults(CIRCULAR, "extract", 260, 240)
     assert k > 5
+
+
+def test_introduce_keeps_the_donor_after_an_involution_fault():
+    # introduce isolates its attach point, whose descent's fixes look up
+    # the involution, before the donor dies: a fault there leaves both
+    # strings as they were and the donor alive.
+    k = 0
+    while True:
+        k += 1
+        forest, s, w, table = _scrambled_map_case()
+        oracle = OracleForest(involution=FLIP)
+        o = oracle.make_string(w)
+        for f, t in ((forest, s), (oracle, o)):
+            f.map(t, 100, 400)
+        donor, o_donor = forest.make_string([5, 6, 7]), \
+            oracle.make_string([5, 6, 7])
+        table.fault_at = table.calls + k
+        try:
+            forest.introduce(s, 106, donor)
+        except InjectedFault:
+            table.fault_at = 0
+            assert donor.alive, k
+            for t, mirror in ((s, o), (donor, o_donor)):
+                sc.verify_tree(t.tree.root, forest.ctx)
+                assert full(forest, t) == mirror.symbols, k
+            assert forest.total_length == 503
+        else:
+            break
+    table.fault_at = 0
+    oracle.introduce(o, 106, o_donor)
+    assert not donor.alive and forest.live_handles() == [s]
+    sc.verify_tree(s.tree.root, forest.ctx)
+    assert full(forest, s) == o.symbols
+    assert k > 1  # so the walk had faults injected
 
 
 # ------------------------------------------------------------------- stats
@@ -803,9 +838,9 @@ def test_power_table_holds_base_powers(forest):
     s = forest.make_string(range(50))
     forest.insert(s, 3, 7)
     forest.introduce(s, 1, forest.make_string("abc"))
-    b, p = forest.cfg.base, forest.cfg.modulus
-    assert len(forest.cfg.pw) == s.length + 1
-    assert all(w == pow(b, k, p) for k, w in enumerate(forest.cfg.pw))
+    b, p = forest.ctx.base, forest.ctx.modulus
+    assert len(forest.ctx.pw) == s.length + 1
+    assert all(w == pow(b, k, p) for k, w in enumerate(forest.ctx.pw))
 
 
 def test_strings_longer_than_any_before_match_oracle():
@@ -836,10 +871,10 @@ def test_strings_longer_than_any_before_match_oracle():
             forest.insert(s, i, c)
             oracle.insert(o, i, c)
         longest = max(longest, s.length)
-        assert len(forest.cfg.pw) == longest + 1
+        assert len(forest.ctx.pw) == longest + 1
         assert forest.total_length > longest or len(pairs) == 1
         for a, b in pairs:
-            sc.verify_tree(a.tree.root, forest.cfg)
+            sc.verify_tree(a.tree.root, forest.ctx)
             assert full(forest, a) == b.symbols
         (s, o), (s2, o2) = rng.sample(pairs, 2)
         i1, i2 = rng.randint(1, s.length), rng.randint(1, s2.length)
