@@ -9,11 +9,12 @@ constants are machine-dependent.
 Each lcp runs on a planted pair: a block of log-uniform length is copied
 out of the string into a scratch string, followed by one symbol that
 differs from the original's next symbol, so the lcp is exactly the block
-length and the squaring and search phases run.  The scratch string is
-dropped after the query.  The plant and the drop are left out of the
-row's counters and time, so a row counts the lcp's own work and the ops
-on the string, whose cost depends on n; the plant's depends only on the
-block length.
+length.  Blocks reach 4096 symbols, far past the exact read of the first
+`compare.READ_WIDTH`, so the squaring and search phases run.  The scratch
+string is dropped after the query.  The plant and the drop are left out of
+the row's counters and time, so a row counts the lcp's own work and the
+ops on the string, whose cost depends on n; the plant's depends only on
+the block length.
 
 `--json FILE` also writes the rows, exact counters and time per op, as
 JSON for a benchmark ledger.
@@ -113,10 +114,10 @@ def run_row(n: int, seed: int, ops_factor: int = 10) -> BenchRow:
 def _plant(forest, s, rng):
     """A new string `copy` holding s[i..i+L-1] plus a differing symbol.
 
-    L is drawn log-uniformly from [1, min(|s| - 1, 256)]: an octave, then
+    L is drawn log-uniformly from [1, min(|s| - 1, 4096)]: an octave, then
     a length within it.  Returns (i, copy); lcp(s, i, copy, 1) is exactly L.
     """
-    upper = min(s.length - 1, 256)
+    upper = min(s.length - 1, 4096)
     octave = rng.randrange(upper.bit_length())
     block = rng.randint(1 << octave, min(upper, (2 << octave) - 1))
     i = rng.randint(1, s.length - block)

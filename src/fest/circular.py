@@ -162,10 +162,22 @@ def equal_omega_omega(forest, s1, i1: int, l1: int,
         == k2 * ctx.geomsum(d2, l1 - 1) % p
 
 
-def _omega_symbol(forest, s, i: int, t: int) -> int:
-    """t-th symbol (1-based) of the unrolled string starting at i."""
+def _omega_read(forest, s, i: int, t0: int, t1: int) -> list[int]:
+    """Symbols t0..t1 (1-based) of the unrolled string starting at i.
+
+    Reads at most one turn of s, in at most two stored pieces, and repeats
+    it when the read is longer than s.
+    """
     n = s.tree.size
-    return forest.access(s, (i + t - 2) % n + 1)
+    length = t1 - t0 + 1
+    q = (i + t0 - 2) % n + 1
+    end = q + min(length, n) - 1
+    out = forest._read(s.tree, q, min(end, n))
+    if end > n:
+        out += forest._read(s.tree, 1, end - n)
+    if length > n:
+        out = (out * (length // n + 1))[:length]
+    return out
 
 
 def lcp_omega(forest, s1, i1: int, s2, i2: int):
@@ -184,10 +196,9 @@ def lcp_omega(forest, s1, i1: int, s2, i2: int):
     def side(s, i):
         return s, i, partial(_omega_fp, forest, s, i)
 
-    def symbols(t):
-        return (_omega_symbol(forest, s1, i1, t),
-                _omega_symbol(forest, s2, i2, t))
+    def read(t0, t1):
+        return (_omega_read(forest, s1, i1, t0, t1),
+                _omega_read(forest, s2, i2, t0, t1))
 
-    out = lcp_pipeline(forest, (side(s1, i1), side(s2, i2)), cap, cap,
-                       symbols)
+    out = lcp_pipeline(forest, (side(s1, i1), side(s2, i2)), cap, cap, read)
     return (INFINITE, Order.EQUAL) if out is None else out

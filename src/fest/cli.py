@@ -356,7 +356,8 @@ def format_stats(runner: ScriptRunner) -> str:
         lines += [f"last_lcp_border\t{p.border}",
                   f"last_lcp_threshold\t{p.threshold}",
                   f"last_lcp_squaring\t{p.squaring}",
-                  f"last_lcp_search\t{p.search}"]
+                  f"last_lcp_search\t{p.search}",
+                  f"last_lcp_reads\t{p.reads}"]
     return "\n".join(lines)
 
 

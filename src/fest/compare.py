@@ -1,13 +1,16 @@
 """Comparison results and the one lcp pipeline behind `lcp` and `lcp_omega`.
 
-The pipeline compares two probe targets ("sides") by prefix fingerprints:
-border probes, one mid-scale probe, repeated squaring for an upper bound,
-then an exponential search.  Each stage starts from the longest length the
-earlier ones showed equal and stops below the shortest they showed unequal,
-so no length is probed twice.  The search, and the squaring after a
-mid-scale mismatch, run inside `Windows`, which extracts each side's probe
-range into a working tree of its own where it can and puts every window
-back on exit.
+The pipeline compares two probe targets ("sides") exactly at both ends and
+by prefix fingerprints in between.  It reads the first `READ_WIDTH`
+symbols of each side, where most lcps end; past them it runs a border
+probe, one mid-scale probe, repeated squaring for an upper bound and an
+exponential search that stops once its bracket is at most `READ_WIDTH`
+wide, and then reads that bracket.  Each stage starts from the longest
+length the earlier ones showed equal and stops below the shortest they
+showed unequal, so no length is probed twice.  The search, and the
+squaring after a mid-scale mismatch, run inside `Windows`, which extracts
+each side's probe range into a working tree of its own where it can and
+puts every window back on exit; the reads run in place.
 """
 
 from __future__ import annotations
@@ -16,6 +19,10 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import partial
+
+#: K, the number of symbols read exactly at each end of an lcp: the first
+#: K before any fingerprint, and the search's last bracket of at most K.
+READ_WIDTH = 64
 
 
 class Order(enum.Enum):
@@ -38,14 +45,16 @@ def order_of(a: int, b: int) -> Order:
 class LcpProbes:
     """Per-call probe counts for one longest-common-prefix computation."""
 
-    border: int = 0     # full-overlap and two-symbol screening probes
+    border: int = 0     # the full-overlap screening probe
     threshold: int = 0  # the single mid-scale screening probe
     squaring: int = 0   # repeated-squaring upper-bound probes
     search: int = 0     # exponential + binary search probes
+    reads: int = 0      # exact reads of the head and of the last bracket
 
     @property
     def total(self) -> int:
-        return self.border + self.threshold + self.squaring + self.search
+        return self.border + self.threshold + self.squaring + self.search \
+            + self.reads
 
 
 def ceil_pow_two_thirds(n: int) -> int:
@@ -76,13 +85,15 @@ def squaring_upper_bound(eq_at, lo: int, cap: int, rec: LcpProbes):
             lo = length
 
 
-def exponential_search(eq_at, lo: int, hi: int, rec: LcpProbes) -> int:
-    """Largest t with eq_at(t), given eq_at(lo) holds and eq_at(hi) not.
+def exponential_search(eq_at, lo: int, hi: int, rec: LcpProbes):
+    """(lo, hi), at most READ_WIDTH apart, with eq_at(lo) and not eq_at(hi),
+    given that both hold of the lo and hi passed in.
 
-    Doubles from 2·lo to bracket the answer, then bisects the bracket.
+    Doubles from 2·lo to bracket the answer, then bisects the bracket until
+    it is narrow enough to read.
     """
     t = 2 * lo
-    while t < hi:
+    while t < hi and hi - lo > READ_WIDTH:
         rec.search += 1
         if eq_at(t):
             lo = t
@@ -90,25 +101,36 @@ def exponential_search(eq_at, lo: int, hi: int, rec: LcpProbes) -> int:
         else:
             hi = t
             break
-    while lo + 1 < hi:
+    while hi - lo > READ_WIDTH:
         mid = (lo + hi) // 2
         rec.search += 1
         if eq_at(mid):
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, hi
 
 
-def lcp_pipeline(forest, sides, full: int, total: int, symbols):
+def _mismatch(pair, before: int):
+    """(before + k, order) at the first index k where the two equally long
+    symbol lists of pair differ, or None when they agree."""
+    u, v = pair
+    if u != v:
+        for k, (a, b) in enumerate(zip(u, v)):
+            if a != b:
+                return before + k, order_of(a, b)
+    return None
+
+
+def lcp_pipeline(forest, sides, full: int, total: int, read):
     """(length, order) of the longest common prefix of two sides, or None
     when both are one (string, start) or their first `full` symbols agree.
 
     sides are two (string, stored start, in-place prefix fp) triples, as
-    `Windows` takes them; symbols(t) gives the two sides' t-th symbols.
-    total sets the mid-scale probe, min(2^ceil((log2 total)^(2/3)), full).
-    Every call counts as one lcp in forest.stats and leaves its probe record
-    in stats.last_lcp.
+    `Windows` takes them; read(t0, t1) gives the two sides' symbols t0..t1
+    as two lists.  total sets the mid-scale probe,
+    min(2^ceil((log2 total)^(2/3)), full).  Every call counts as one lcp in
+    forest.stats and leaves its probe record in stats.last_lcp.
     """
     stats = forest.stats
     rec = LcpProbes()
@@ -121,41 +143,49 @@ def lcp_pipeline(forest, sides, full: int, total: int, symbols):
     def eq_at(t):
         return fp1(t) == fp2(t)
 
-    # Border: the first `full` symbols, then a mismatch within the first two.
+    # Head: the first K symbols, read exactly; then the border probe at
+    # `full`.
+    lo = min(full, READ_WIDTH)
+    rec.reads += 1
+    head = _mismatch(read(1, lo), 0)
+    if head is not None:
+        return head
+    if lo == full:
+        return None
     rec.border += 1
     if eq_at(full):
         return None
-    two_equal = False
-    if full > 2:
-        rec.border += 1
-        two_equal = eq_at(2)
-    if not two_equal:
-        a, b = symbols(1)
-        if a != b:
-            return 0, order_of(a, b)
-        return 1, order_of(*symbols(2))
 
     # A crude upper bound: one mid-scale probe, then repeated squaring from
-    # the longest length known equal.  After a match the squaring runs in
-    # place up to `full` and the search in windows of its bound; after a
-    # mismatch both run in one set of windows of `mid` symbols, which hold
-    # every range the search probes.  At mid == full the border probe
-    # already failed, so there is no probe.
+    # the longest length known equal.  After a match, or when the head read
+    # already covers mid, the squaring runs in place up to `full` and the
+    # search in windows of its bound; after a mismatch both run in one set
+    # of windows of `mid` symbols, which hold every range the search
+    # probes.  At mid == full the border probe already failed, so there is
+    # no probe.  A bracket of at most K symbols needs no window.
     mid = min(1 << ceil_pow_two_thirds(total), full)
-    mid_equal = False
-    if mid < full:
+    mid_equal = mid <= lo
+    if lo < mid < full:
         rec.threshold += 1
         mid_equal = eq_at(mid)
     if mid_equal:
-        lo, upper = squaring_upper_bound(eq_at, mid, full, rec)
+        lo, upper = squaring_upper_bound(eq_at, max(lo, mid), full, rec)
     else:
         upper = mid
-    with Windows(forest, sides, upper) as window_eq:
-        if not mid_equal:
-            lo, upper = squaring_upper_bound(window_eq, 2, mid, rec)
-        length = exponential_search(window_eq, lo, upper, rec)
+    if upper - lo > READ_WIDTH:
+        with Windows(forest, sides, upper) as window_eq:
+            if not mid_equal:
+                lo, upper = squaring_upper_bound(window_eq, lo, upper, rec)
+            lo, upper = exponential_search(window_eq, lo, upper, rec)
     stats.lcp_squaring_probes += rec.squaring  # 0 on the earlier returns
-    return length, order_of(*symbols(length + 1))
+
+    # Tail: read the last bracket in place, after the windows went back.
+    # upper is a genuine mismatch, so the read finds one: were lo a
+    # collision and lo+1..upper equal, fp(upper) would collide too.
+    rec.reads += 1
+    tail = _mismatch(read(lo + 1, upper), lo)
+    assert tail is not None
+    return tail
 
 
 class Windows:

@@ -383,8 +383,8 @@ class Forest:
     def lcp(self, s1: DynString, i1: int, s2: DynString, i2: int
             ) -> tuple[int, Order]:
         """Length of the longest common prefix of two suffixes, plus their
-        lexicographic order.  Correct whp; both strings are restored before
-        returning.
+        lexicographic order.  Exact below `compare.READ_WIDTH`, correct whp
+        above it; both strings are restored before returning.
         """
         self._check(s1)
         self._check(s2)
@@ -400,11 +400,12 @@ class Forest:
         def side(s, i):
             return s, i, partial(self._prefix_fp, s.tree, i)
 
-        def symbols(t):
-            return self.access(s1, i1 + t - 1), self.access(s2, i2 + t - 1)
+        def read(t0, t1):
+            return (self._read(s1.tree, i1 + t0 - 1, i1 + t1 - 1),
+                    self._read(s2.tree, i2 + t0 - 1, i2 + t1 - 1))
 
         out = lcp_pipeline(self, (side(s1, i1), side(s2, i2)), min(m1, m2),
-                           n1 + n2, symbols)
+                           n1 + n2, read)
         self._after(s1, s2)
         if out is None:  # one suffix is a prefix of the other
             return min(m1, m2), order_of(m1, m2)
@@ -458,6 +459,11 @@ class Forest:
             if l > n:
                 raise RangeError(f"range length {l} exceeds circle size {n}")
         return _circ._slice_fp(self, s, i, l)
+
+    def _read(self, tree, a, b) -> list[int]:
+        """The symbols at stored positions a..b."""
+        y = sc.isolate(tree, a, b, self.ctx, self.stats)
+        return sc.inorder_symbols(y, self.ctx, self.stats)
 
     def _prefix_fp(self, tree, a, t) -> int:
         """Fingerprint of the t symbols from stored position a."""

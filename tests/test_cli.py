@@ -202,7 +202,7 @@ def test_cli_subprocess_end_to_end(tmp_path):
     assert int(stats["rotations"]) > 0
     assert stats["mapped_refreshes"] == "0"
     assert {"last_lcp_border", "last_lcp_threshold", "last_lcp_squaring",
-            "last_lcp_search"} <= stats.keys()
+            "last_lcp_search", "last_lcp_reads"} <= stats.keys()
 
 
 def test_cli_subprocess_env_seed(tmp_path):

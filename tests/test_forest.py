@@ -6,8 +6,8 @@ from collections import Counter
 
 import pytest
 
-from fest import CIRCULAR, LINEAR, Forest, HandleError, Order, RangeError, \
-    UsageError
+from fest import CIRCULAR, INFINITE, LINEAR, FingerprintContext, Forest, \
+    HandleError, Order, RangeError, UsageError
 from fest import circular as fest_circular
 from fest import compare as fest_compare
 from fest import forest as fest_forest
@@ -545,6 +545,59 @@ def test_lcp_never_probes_a_length_twice(monkeypatch):
                                (s1, i1, s2, i2), want)
 
 
+def _small_modulus_forest(seed, p):
+    """A forest fingerprinting modulo the prime p, before any string."""
+    forest = Forest(seed=seed)
+    forest.ctx = FingerprintContext(seed=seed, modulus=p)
+    return forest
+
+
+def test_lcp_reads_past_a_collision_at_a_small_modulus():
+    # At p = 8191, b^8190 = 1 for every base b (Fermat), so 1·0^8190 and
+    # 0^8190·1 share a fingerprint, and so do their full-length prefixes.
+    p = 8191
+    u, v = [1] + [0] * (p - 1), [0] * (p - 1) + [1]
+    for seed in range(3):
+        forest = _small_modulus_forest(seed, p)
+        s1, s2 = forest.make_string(u), forest.make_string(v)
+        assert forest.equal(s1, 1, s2, 1, p)
+        assert forest.lcp(s1, 1, s2, 1) == (0, Order.GREATER)
+
+
+def test_lcps_never_under_report_at_a_small_modulus():
+    # u and v differ by +1 at L + 1 and -1 at L + 1 + d, so every prefix
+    # holding both differences collides when b^d = 1, which happens for
+    # gcd(d, 8190) of the 8190 bases; half of the pairs differ once more,
+    # further on.  A collision may lengthen an lcp, never shorten it, and an
+    # lcp below READ_WIDTH is read exactly.
+    p = 8191
+    longer = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        forest, oracle = _small_modulus_forest(seed, p), OracleForest()
+        length = int(2 ** rng.uniform(0, 12))
+        d = rng.choice([630, 2730, 4095, 8190])
+        e = int(2 ** rng.uniform(0, 12))
+        u = [rng.randrange(4) for _ in range(length + d + e + 60)]
+        v = list(u)
+        u[length] += 1
+        v[length + d] += 1
+        if rng.random() < 0.5:
+            u[length + d + e] += 1
+        for mode, query in ((LINEAR, "lcp"), (CIRCULAR, "lcp_omega")):
+            s1, s2 = forest.make_string(u, mode), forest.make_string(v, mode)
+            o1, o2 = oracle.make_string(u, mode), oracle.make_string(v, mode)
+            for i in rng.sample(range(1, length + 2), min(4, length + 1)):
+                got = getattr(forest, query)(s1, i, s2, i)
+                want = getattr(oracle, query)(o1, i, o2, i)
+                if want[0] < fest_compare.READ_WIDTH:
+                    assert got == want, (seed, mode, i)
+                assert got[0] is INFINITE or want[0] is not INFINITE \
+                    and got[0] >= want[0], (seed, mode, i, got, want)
+                longer += got != want
+    assert longer  # so the sweep met collisions
+
+
 def test_deep_spines_never_recurse():
     # descents, traversals, and audits must stay iterative on long spines
     forest = Forest(seed=14)
@@ -574,17 +627,18 @@ def _lcp_fault_case(case):
     rng = random.Random(30)
     forest, oracle = Forest(seed=30), OracleForest()
     if case.startswith("omega-"):
-        same, i1, i2 = _OMEGA_FAULT_CASES[case]
-        return _omega_fault_case(rng, forest, oracle, same, i1, i2)
+        same, i1, i2, length = _OMEGA_FAULT_CASES[case]
+        return _omega_fault_case(rng, forest, oracle, same, i1, i2, length)
     if case.startswith("same-"):
         if case == "same-overlap":
             w, i2 = ([1, 2, 3] * 200)[:599] + [9], 4
         else:
+            at = 100 if case == "same-disjoint-100" else 10
             half = [rng.randrange(4) for _ in range(300)]
-            w, i2 = half + half[:10] + [half[10] ^ 1] + half[11:], 301
+            w, i2 = half + half[:at] + [half[at] ^ 1] + half[at + 1:], 301
         s, o = forest.make_string(w), oracle.make_string(w)
         return forest, oracle, "lcp", (s, 1, s, i2), (o, 1, o, i2)
-    at = {"linear-301": 301, "linear-11": 11}[case]
+    at = {"linear-301": 301, "linear-11": 11, "linear-101": 101}[case]
     w1 = [rng.randrange(4) for _ in range(600)]
     w2 = list(w1)
     w2[at - 1] = (w1[at - 1] + 1) % 4
@@ -593,41 +647,63 @@ def _lcp_fault_case(case):
     return forest, oracle, "lcp", (s1, 1, s2, 1), (o1, 1, o2, 1)
 
 
-#: case -> (one string?, i1, i2) for lcp_omega on 700-symbol strings whose
-#: unrollings from i1 and i2 agree on exactly 10 symbols.  The squaring and
-#: the search then run in the same 32-symbol windows.  From 680 the range
-#: crosses the seam, so that side is probed in place while the other is
-#: extracted; at a shift of 20 the ranges overlap and share one window, and
-#: at a shift of 300 they are disjoint and each is extracted.
-_OMEGA_FAULT_CASES = {"omega-lcp-10": (False, 1, 1),
-                      "omega-seam": (False, 680, 1),
-                      "omega-same-overlap": (True, 1, 21),
-                      "omega-same-disjoint": (True, 1, 301)}
+#: case -> (one string?, i1, i2, length) for lcp_omega on 700-symbol
+#: strings whose unrollings from i1 and i2 agree on exactly `length`
+#: symbols.  At 10 the head read ends the lcp.  At 100 the squaring probes
+#: in place and the search runs in windows of 256 symbols; from 680 that
+#: range crosses the seam, so that side is probed in place while the other
+#: is extracted.  At a shift of 20 the ranges overlap, and at a shift of
+#: 300 they are disjoint, so the later one is extracted first.
+_OMEGA_FAULT_CASES = {"omega-lcp-10": (False, 1, 1, 10),
+                      "omega-seam": (False, 680, 1, 10),
+                      "omega-seam-100": (False, 680, 1, 100),
+                      "omega-same-overlap": (True, 1, 21, 10),
+                      "omega-same-disjoint": (True, 1, 301, 10),
+                      "omega-same-disjoint-100": (True, 1, 301, 100)}
 
 
-def _omega_fault_case(rng, forest, oracle, same, i1, i2):
+def _omega_fault_case(rng, forest, oracle, same, i1, i2, length):
     w1 = [rng.randrange(4) for _ in range(700)]
     w2 = w1 if same else [rng.randrange(4) for _ in range(700)]
-    w1[i1 - 1:i1 + 9] = w2[i2 - 1:i2 + 9]
-    w1[i1 + 9] = w2[i2 + 9] ^ 1
+    # Copy forwards: on one handle i2 lies ahead of i1, so no symbol is
+    # written after it has been read.
+    for k in range(length + 1):
+        w1[(i1 - 1 + k) % 700] = w2[(i2 - 1 + k) % 700] ^ (k == length)
     s1, o1 = forest.make_string(w1, CIRCULAR), oracle.make_string(w1, CIRCULAR)
     s2, o2 = (s1, o1) if same else (forest.make_string(w2, CIRCULAR),
                                     oracle.make_string(w2, CIRCULAR))
     return forest, oracle, "lcp_omega", (s1, i1, s2, i2), (o1, i1, o2, i2)
 
 
-@pytest.mark.parametrize("case", ["linear-301", "linear-11", "same-overlap",
-                                  "same-disjoint", *_OMEGA_FAULT_CASES])
+#: case -> the lcp stages it reaches.  Together the cases reach them all.
+_FAULT_STAGES = {
+    "linear-301": {"windows", "squaring", "search", "tail"},
+    "linear-101": {"windows", "squaring", "search", "tail"},
+    "linear-11": set(),
+    "same-overlap": {"windows", "squaring", "search", "tail"},
+    "same-disjoint": set(),
+    "same-disjoint-100": {"windows", "squaring", "search", "tail"},
+    "omega-lcp-10": set(),
+    "omega-seam": set(),
+    "omega-seam-100": {"windows", "squaring", "search", "tail"},
+    "omega-same-overlap": set(),
+    "omega-same-disjoint": set(),
+    "omega-same-disjoint-100": {"windows", "squaring", "search", "tail"},
+}
+
+
+@pytest.mark.parametrize("case", _FAULT_STAGES)
 def test_lcp_restores_strings_after_a_fault(monkeypatch, case):
     # The k-th fault point raises, for every k until the query completes.
     # Fault points are the probes made through squaring_upper_bound or
     # exponential_search, which the lcp pipeline looks up in fest.compare,
-    # and every window extraction.
+    # every window extraction and every exact read of symbols.
     forest, oracle, name, args, oracle_args = _lcp_fault_case(case)
     want = getattr(oracle, name)(*oracle_args)
     before = {s.id: full(forest, s) for s in forest.live_handles()}
     points = [0]
     fault_at = [0]
+    extractions = [0]
 
     def tick():
         points[0] += 1
@@ -642,19 +718,31 @@ def test_lcp_restores_strings_after_a_fault(monkeypatch, case):
             return fn(probe, *args)
         return patched
 
+    def ticking(fn):
+        def patched(*args):
+            tick()
+            return fn(*args)
+        return patched
+
     extract = fest_forest.Forest._extract_window
 
     def faulty_extract(self, tree, a, b):
         tick()
+        extractions[0] += 1
         return extract(self, tree, a, b)
 
     for helper in ("squaring_upper_bound", "exponential_search"):
         monkeypatch.setattr(fest_compare, helper,
                             faulty(getattr(fest_compare, helper)))
     monkeypatch.setattr(fest_forest.Forest, "_extract_window", faulty_extract)
+    monkeypatch.setattr(fest_forest.Forest, "_read",
+                        ticking(fest_forest.Forest._read))
+    monkeypatch.setattr(fest_circular, "_omega_read",
+                        ticking(fest_circular._omega_read))
     while True:
         fault_at[0] += 1
         points[0] = 0
+        extractions[0] = 0
         try:
             got = getattr(forest, name)(*args)
             break
@@ -665,7 +753,12 @@ def test_lcp_restores_strings_after_a_fault(monkeypatch, case):
                     for s in forest.live_handles()} == before, fault_at[0]
     assert got == want
     rec = forest.stats.last_lcp
-    assert rec.squaring and rec.search  # so both helpers had faults injected
+    reached = {stage for stage, hit in [("windows", extractions[0]),
+                                        ("squaring", rec.squaring),
+                                        ("search", rec.search),
+                                        ("tail", rec.reads == 2)] if hit}
+    # so every stage the case reaches had faults injected
+    assert rec.reads and reached == _FAULT_STAGES[case], (reached, rec)
     assert {s.id: full(forest, s) for s in forest.live_handles()} == before
 
 
