@@ -7,10 +7,12 @@ probe, one mid-scale probe, repeated squaring for an upper bound and an
 exponential search that stops once its bracket is at most `READ_WIDTH`
 wide, and then reads that bracket.  Each stage starts from the longest
 length the earlier ones showed equal and stops below the shortest they
-showed unequal, so no length is probed twice.  The search, and the
-squaring after a mid-scale mismatch, run inside `Windows`, which extracts
-each side's probe range into a working tree of its own where it can and
-puts every window back on exit; the reads run in place.
+showed unequal, so no length is probed twice.  Every probe and read runs
+in place: it isolates a range of its side's own tree, which only splays,
+so no symbol ever leaves its string.  (The paper moves each probe range
+into a tree of its own.  In place, the probes of one side stay within
+about the lcp's length of each other, which the dynamic finger bound of
+splay trees argues makes each cost O(log lcp) amortized after the first.)
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
 
 #: K, the number of symbols read exactly at each end of an lcp: the first
 #: K before any fingerprint, and the search's last bracket of at most K.
@@ -126,11 +127,11 @@ def lcp_pipeline(forest, sides, full: int, total: int, read):
     """(length, order) of the longest common prefix of two sides, or None
     when both are one (string, start) or their first `full` symbols agree.
 
-    sides are two (string, stored start, in-place prefix fp) triples, as
-    `Windows` takes them; read(t0, t1) gives the two sides' symbols t0..t1
-    as two lists.  total sets the mid-scale probe,
-    min(2^ceil((log2 total)^(2/3)), full).  Every call counts as one lcp in
-    forest.stats and leaves its probe record in stats.last_lcp.
+    sides are two (string, stored start, prefix fp) triples, where fp(t)
+    fingerprints the side's first t symbols in place; read(t0, t1) gives
+    the two sides' symbols t0..t1 as two lists.  total sets the mid-scale
+    probe, min(2^ceil((log2 total)^(2/3)), full).  Every call counts as one
+    lcp in forest.stats and leaves its probe record in stats.last_lcp.
     """
     stats = forest.stats
     rec = LcpProbes()
@@ -158,11 +159,10 @@ def lcp_pipeline(forest, sides, full: int, total: int, read):
 
     # A crude upper bound: one mid-scale probe, then repeated squaring from
     # the longest length known equal.  After a match, or when the head read
-    # already covers mid, the squaring runs in place up to `full` and the
-    # search in windows of its bound; after a mismatch both run in one set
-    # of windows of `mid` symbols, which hold every range the search
-    # probes.  At mid == full the border probe already failed, so there is
-    # no probe.  A bracket of at most K symbols needs no window.
+    # already covers mid, the squaring runs up to `full`; after a mismatch
+    # it runs up to `mid`, and only while the bracket is wider than K.  At
+    # mid == full the border probe already failed, so there is no probe.
+    # The search then narrows any bracket wider than K.
     mid = min(1 << ceil_pow_two_thirds(total), full)
     mid_equal = mid <= lo
     if lo < mid < full:
@@ -173,81 +173,16 @@ def lcp_pipeline(forest, sides, full: int, total: int, read):
     else:
         upper = mid
     if upper - lo > READ_WIDTH:
-        with Windows(forest, sides, upper) as window_eq:
-            if not mid_equal:
-                lo, upper = squaring_upper_bound(window_eq, lo, upper, rec)
-            lo, upper = exponential_search(window_eq, lo, upper, rec)
+        if not mid_equal:
+            lo, upper = squaring_upper_bound(eq_at, lo, upper, rec)
+        lo, upper = exponential_search(eq_at, lo, upper, rec)
     stats.lcp_squaring_probes += rec.squaring  # 0 on the earlier returns
 
-    # Tail: read the last bracket in place, after the windows went back.
-    # upper is a genuine mismatch, so the read finds one: were lo a
-    # collision and lo+1..upper equal, fp(upper) would collide too.
+    # Tail: read the last bracket.  upper is a genuine mismatch, so the
+    # read finds one: were lo a collision and lo+1..upper equal, fp(upper)
+    # would collide too.
     rec.reads += 1
     tail = _mismatch(read(lo + 1, upper), lo)
     assert tail is not None
     return tail
 
-
-class Windows:
-    """Working windows of `size` symbols for both sides of an lcp's squaring
-    and search.
-
-    A side is (string, stored start, in-place prefix fp).  A side whose
-    `size` symbols form one stored range is extracted into a window and
-    probed there; otherwise it is probed in place.  Two sides on one tree
-    are extracted only when both fit: overlapping ranges share one window,
-    and of disjoint ones the later is extracted first, so the earlier keeps
-    its stored start.  Entering yields eq_at(t), whether the sides' length-t
-    prefixes match.  Windows go back on exit in reverse order of extraction,
-    so an exception or interrupt raised mid-search leaves no symbol outside
-    its string; if an extraction raises, the windows already taken go back
-    at once.
-    """
-
-    def __init__(self, forest, sides, size: int):
-        self.forest = forest
-        self.sides = sides
-        self.size = size
-        self.taken = []  # (tree, stored start, window), in extraction order
-
-    def __enter__(self):
-        sides = self.sides
-        size = self.size
-        prefix_fp = self.forest._prefix_fp
-        probes = [fp for _, _, fp in sides]
-        (s1, a1, _), (s2, a2, _) = sides
-        fits = [a + size - 1 <= s.tree.size for s, a, _ in sides]
-        try:
-            if s1 is not s2:
-                order = [k for k in (0, 1) if fits[k]]
-            elif not all(fits):
-                order = []
-            elif abs(a1 - a2) < size:  # overlapping: one shared window
-                lo = min(a1, a2)
-                w = self._extract(s1, lo, abs(a1 - a2) + size)
-                probes = [partial(prefix_fp, w, a - lo + 1) for a in (a1, a2)]
-                order = []
-            else:  # disjoint: the later range first
-                order = [0, 1] if a1 > a2 else [1, 0]
-            for k in order:
-                s, a, _ = sides[k]
-                probes[k] = partial(prefix_fp, self._extract(s, a, size), 1)
-        except BaseException:
-            self.__exit__()
-            raise
-        p1, p2 = probes
-
-        def eq_at(t):
-            return p1(t) == p2(t)
-        return eq_at
-
-    def __exit__(self, *exc) -> bool:
-        while self.taken:
-            tree, a, w = self.taken.pop()
-            self.forest._reintroduce_window(tree, a, w)
-        return False
-
-    def _extract(self, s, a: int, length: int):
-        w = self.forest._extract_window(s.tree, a, a + length - 1)
-        self.taken.append((s.tree, a, w))
-        return w

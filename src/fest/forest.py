@@ -384,7 +384,7 @@ class Forest:
             ) -> tuple[int, Order]:
         """Length of the longest common prefix of two suffixes, plus their
         lexicographic order.  Exact below `compare.READ_WIDTH`, correct whp
-        above it; both strings are restored before returning.
+        above it.  It moves no symbol out of its string; it only splays.
         """
         self._check(s1)
         self._check(s2)
@@ -469,12 +469,3 @@ class Forest:
         """Fingerprint of the t symbols from stored position a."""
         y = sc.isolate(tree, a, a + t - 1, self.ctx, self.stats)
         return y.fp
-
-    def _extract_window(self, tree, a, b) -> sc.Tree:
-        y = sc.isolate(tree, a, b, self.ctx, self.stats)
-        sc.detach(y, self.ctx, tree)
-        return sc.Tree(y)
-
-    def _reintroduce_window(self, tree, pos, window: sc.Tree) -> None:
-        point = sc.isolate(tree, pos, pos - 1, self.ctx, self.stats)
-        sc.attach(point, window.root, self.ctx, tree)

@@ -140,7 +140,7 @@ def test_random_sequences_agree_with_oracle(script):
 
 def test_binary_alphabet_stress():
     # Two-symbol strings make long shared prefixes the norm, which drives
-    # the lcp upper-bound and window machinery much harder than byte data.
+    # the lcp upper-bound and search machinery much harder than byte data.
     from fest.cli import run_script
     from fest.oracle import WorkloadConfig, WorkloadWeights, random_workload
     cfg = WorkloadConfig(alphabet=2, max_length=1500, max_circular_length=128,

@@ -479,7 +479,7 @@ def test_lcp_squaring_probe_budget_sweep(forest):
 
 def _record_probe_lengths(monkeypatch):
     """Log the length of every prefix fingerprint an lcp takes, one entry per
-    side, in place or in a window."""
+    side."""
     lengths = []
     prefix_fp = fest_forest.Forest._prefix_fp
     omega_fp = fest_circular._omega_fp
@@ -545,11 +545,59 @@ def test_lcp_never_probes_a_length_twice(monkeypatch):
                                (s1, i1, s2, i2), want)
 
 
-def _small_modulus_forest(seed, p):
-    """A forest fingerprinting modulo the prime p, before any string."""
+def _small_modulus_forest(seed, p, base=None):
+    """A forest fingerprinting modulo the prime p, before any string; the
+    base is drawn from the seed unless given."""
     forest = Forest(seed=seed)
-    forest.ctx = FingerprintContext(seed=seed, modulus=p)
+    forest.ctx = FingerprintContext(seed=seed, modulus=p, base=base)
     return forest
+
+
+def test_equal_collides_for_exactly_the_bases_the_law_gives():
+    # 1·0^k and 0^k·1 fingerprint to b^k and 1, so they collide exactly
+    # when b is a root of x^k - 1, which has gcd(k, p - 1) roots mod p:
+    # 42 for k = 84 = 2²·3·7, since 8190 = 2·3²·5·7·13.
+    p, k = 8191, 84
+    u, v = [1] + [0] * k, [0] * k + [1]
+    colliding = 0
+    for b in range(1, p):
+        forest = _small_modulus_forest(0, p, b)
+        s1, s2 = forest.make_string(u), forest.make_string(v)
+        colliding += forest.equal(s1, 1, s2, 1, k + 1)
+    assert colliding == math.gcd(k, p - 1) == 42
+
+
+def test_equalities_have_no_false_negatives_at_a_small_modulus():
+    # Every query compares ranges or unrollings that truly coincide, so each
+    # must answer True under every base.  Some lengths make a geometric sum
+    # vanish mod p for some bases: 1 + d + ... + d^(c-1) = 0 when d^c = 1
+    # and d != 1, which b^3 with c = 30 and b^30 with c = 3 do for many b.
+    p = 8191
+    z = [1, 2, 3]
+    vanished = 0
+    for b in range(1, p):
+        forest = _small_modulus_forest(0, p, b)
+        ab = forest.make_string([1, 2], CIRCULAR)
+        zz = forest.make_string(z * 2, CIRCULAR)
+        z29 = forest.make_string(z * 29, CIRCULAR)
+        z1 = forest.make_string([2, 3, 1], CIRCULAR)
+        for query in [
+                # ab against abab: windows of different lengths over one
+                # period, the longer one unrolled from two copies.
+                ("equal_omega_omega", ab, 1, 2, ab, 1, 4),
+                ("equal_omega_omega", ab, 2, 2, ab, 2, 6),
+                ("equal_omega_omega", zz, 2, 3, z29, 5, 90),
+                ("equal_omega_omega", z29, 1, 30, zz, 4, 3),
+                ("equal_omega_omega", z1, 3, 6, z29, 1, 87),
+                ("equal_omega", zz, 1, zz, 4, 6),
+                ("equal_omega", zz, 2, z1, 1, 9),
+                ("equal_omega", z29, 1, z1, 3, 90),
+                ("equal_omega", z29, 7, zz, 1, 200),
+                ("equal", z29, 2, z29, 5, 84),
+                ("equal", zz, 5, z1, 1, 3)]:
+            assert getattr(forest, query[0])(*query[1:]), (b, query)
+        vanished += forest.ctx.geomsum(pow(b, 3, p), 29) == 0
+    assert vanished  # so the sweep met vanishing geometric sums
 
 
 def test_lcp_reads_past_a_collision_at_a_small_modulus():
@@ -649,11 +697,11 @@ def _lcp_fault_case(case):
 
 #: case -> (one string?, i1, i2, length) for lcp_omega on 700-symbol
 #: strings whose unrollings from i1 and i2 agree on exactly `length`
-#: symbols.  At 10 the head read ends the lcp.  At 100 the squaring probes
-#: in place and the search runs in windows of 256 symbols; from 680 that
-#: range crosses the seam, so that side is probed in place while the other
-#: is extracted.  At a shift of 20 the ranges overlap, and at a shift of
-#: 300 they are disjoint, so the later one is extracted first.
+#: symbols.  At 10 the head read ends the lcp; at 100 it reaches the
+#: squaring, the search and the tail read.  From 680 the probe ranges of
+#: one side cross the seam, so each probe fingerprints two stored pieces.
+#: On one string, a shift of 20 makes the two sides' ranges overlap and a
+#: shift of 300 keeps them disjoint, so one tree is probed from two starts.
 _OMEGA_FAULT_CASES = {"omega-lcp-10": (False, 1, 1, 10),
                       "omega-seam": (False, 680, 1, 10),
                       "omega-seam-100": (False, 680, 1, 100),
@@ -677,18 +725,18 @@ def _omega_fault_case(rng, forest, oracle, same, i1, i2, length):
 
 #: case -> the lcp stages it reaches.  Together the cases reach them all.
 _FAULT_STAGES = {
-    "linear-301": {"windows", "squaring", "search", "tail"},
-    "linear-101": {"windows", "squaring", "search", "tail"},
+    "linear-301": {"squaring", "search", "tail"},
+    "linear-101": {"squaring", "search", "tail"},
     "linear-11": set(),
-    "same-overlap": {"windows", "squaring", "search", "tail"},
+    "same-overlap": {"squaring", "search", "tail"},
     "same-disjoint": set(),
-    "same-disjoint-100": {"windows", "squaring", "search", "tail"},
+    "same-disjoint-100": {"squaring", "search", "tail"},
     "omega-lcp-10": set(),
     "omega-seam": set(),
-    "omega-seam-100": {"windows", "squaring", "search", "tail"},
+    "omega-seam-100": {"squaring", "search", "tail"},
     "omega-same-overlap": set(),
     "omega-same-disjoint": set(),
-    "omega-same-disjoint-100": {"windows", "squaring", "search", "tail"},
+    "omega-same-disjoint-100": {"squaring", "search", "tail"},
 }
 
 
@@ -697,13 +745,12 @@ def test_lcp_restores_strings_after_a_fault(monkeypatch, case):
     # The k-th fault point raises, for every k until the query completes.
     # Fault points are the probes made through squaring_upper_bound or
     # exponential_search, which the lcp pipeline looks up in fest.compare,
-    # every window extraction and every exact read of symbols.
+    # and every exact read of symbols.
     forest, oracle, name, args, oracle_args = _lcp_fault_case(case)
     want = getattr(oracle, name)(*oracle_args)
     before = {s.id: full(forest, s) for s in forest.live_handles()}
     points = [0]
     fault_at = [0]
-    extractions = [0]
 
     def tick():
         points[0] += 1
@@ -724,17 +771,9 @@ def test_lcp_restores_strings_after_a_fault(monkeypatch, case):
             return fn(*args)
         return patched
 
-    extract = fest_forest.Forest._extract_window
-
-    def faulty_extract(self, tree, a, b):
-        tick()
-        extractions[0] += 1
-        return extract(self, tree, a, b)
-
     for helper in ("squaring_upper_bound", "exponential_search"):
         monkeypatch.setattr(fest_compare, helper,
                             faulty(getattr(fest_compare, helper)))
-    monkeypatch.setattr(fest_forest.Forest, "_extract_window", faulty_extract)
     monkeypatch.setattr(fest_forest.Forest, "_read",
                         ticking(fest_forest.Forest._read))
     monkeypatch.setattr(fest_circular, "_omega_read",
@@ -742,7 +781,6 @@ def test_lcp_restores_strings_after_a_fault(monkeypatch, case):
     while True:
         fault_at[0] += 1
         points[0] = 0
-        extractions[0] = 0
         try:
             got = getattr(forest, name)(*args)
             break
@@ -753,8 +791,7 @@ def test_lcp_restores_strings_after_a_fault(monkeypatch, case):
                     for s in forest.live_handles()} == before, fault_at[0]
     assert got == want
     rec = forest.stats.last_lcp
-    reached = {stage for stage, hit in [("windows", extractions[0]),
-                                        ("squaring", rec.squaring),
+    reached = {stage for stage, hit in [("squaring", rec.squaring),
                                         ("search", rec.search),
                                         ("tail", rec.reads == 2)] if hit}
     # so every stage the case reaches had faults injected
