@@ -190,7 +190,9 @@ class Forest:
         self._after(s)
 
     def insert(self, s: DynString, i: int, c: int) -> None:
-        """Insert symbol c so it lands at position i; appending uses i = n+1."""
+        """Insert symbol c so it lands at position i; appending uses i = n+1.
+
+        A split before i, then two joins."""
         self._check(s)
         (c,) = _as_symbols([c])
         n = s.length
@@ -199,30 +201,10 @@ class Forest:
         ctx = self.ctx
         ctx.reserve(n + 1)
         node = sc.Node(c)
-        tree = s.tree
-        if n == 0:
-            sc.pull(node, ctx.base, ctx.modulus, ctx.pw, ctx.fmap)
-            tree.root = node
-        elif i == n + 1:
-            # Append: the old root becomes the new node's left subtree.
-            sc.find(tree, n, ctx, self.stats)
-            old = tree.root
-            node.left = old
-            old.parent = node
-            sc.pull(node, ctx.base, ctx.modulus, ctx.pw, ctx.fmap)
-            tree.root = node
-        else:
-            sc.find(tree, i, ctx, self.stats)
-            x = tree.root
-            node.left = x.left
-            if node.left is not sc.NULL:
-                node.left.parent = node
-            x.left = sc.NULL
-            sc.pull(x, ctx.base, ctx.modulus, ctx.pw, ctx.fmap)
-            node.right = x
-            x.parent = node
-            sc.pull(node, ctx.base, ctx.modulus, ctx.pw, ctx.fmap)
-            tree.root = node
+        sc.pull(node, ctx.base, ctx.modulus, ctx.pw, ctx.fmap)
+        left, right = sc.split(s.tree, i - 1, ctx, self.stats)
+        s.tree.root = sc.join(left, sc.join(node, right, ctx, self.stats),
+                              ctx, self.stats)
         self._after(s)
 
     def delete(self, s: DynString, i: int) -> None:
@@ -246,8 +228,9 @@ class Forest:
     def introduce(self, s1: DynString, i: int, s2: DynString) -> None:
         """Splice all of s2 into s1 before position i, destroying s2.
 
-        s2 dies only once the attach point is isolated, so a fault in that
-        descent leaves both strings as they were.
+        s2's last symbol is splayed to its root, s1 is split before i and
+        the three pieces are joined.  Only descents raise, all before the
+        first link, so a fault leaves both strings as they were, s2 alive.
         """
         self._check(s1)
         self._check(s2)
@@ -256,11 +239,14 @@ class Forest:
         if not 1 <= i <= s1.length + 1:
             raise RangeError(
                 f"introduce position {i} outside [1, {s1.length + 1}]")
-        self.ctx.reserve(s1.length + s2.length)
-        sub = s2.tree.root
-        if sub is not None:
-            point = sc.isolate(s1.tree, i, i - 1, self.ctx, self.stats)
-            sc.attach(point, sub, self.ctx, s1.tree)
+        ctx = self.ctx
+        m = s2.length
+        if m:
+            ctx.reserve(s1.length + m)
+            sub = sc.find(s2.tree, m, ctx, self.stats)
+            left, right = sc.split(s1.tree, i - 1, ctx, self.stats)
+            s1.tree.root = sc.join(left, sc.join(sub, right, ctx, self.stats),
+                                   ctx, self.stats)
         self._destroy(s2)
         self._after(s1)
 
@@ -275,17 +261,26 @@ class Forest:
         The new handle is always linear, also when s is circular.  A
         wrapped range is turned to the front first; what remains of s,
         j+1..i-1, is then in canonical order.
+
+        Two splits cut the range out and a join closes the gap.  If a split
+        raises, the pieces are joined back (the left one has no spine to
+        walk) and a turned string is turned back, so s is as it was.
         """
         self._check(s)
+        ctx = self.ctx
+        tree = s.tree
         a, b, back = self._turned(s, i, j)
+        left, rest = None, tree.root
         try:
-            y = sc.isolate(s.tree, a, b, self.ctx, self.stats)
+            left, rest = sc.split(tree, a - 1, ctx, self.stats)
+            mid, right = sc.split(sc.Tree(rest), b - a + 1, ctx, self.stats)
         except BaseException:
+            tree.root = sc.join(left, rest, ctx, self.stats)
             if back:
                 _circ.rotate_to_front(self, s, back)
             raise
-        sc.detach(y, self.ctx, s.tree)
-        out = self._register(y, LINEAR)
+        tree.root = sc.join(left, right, ctx, self.stats)
+        out = self._register(mid, LINEAR)
         self._after(s, out)
         return out
 

@@ -40,6 +40,9 @@ set, so the mapped work never exceeds one recomputation per pull, the cost
 of keeping the pair eager, and the O(log n) amortized bounds stay.  Without
 an involution the mapped pair aliases `fp`/`fprev` and is never stale.
 
+Strings are spliced by `split` and `join` alone; `isolate` gathers a
+non-empty rank range i..j (i <= j) into one subtree, read or flagged in place.
+
 All descents and splays are iterative; trees can degrade to long spines and
 recursion would overflow.
 """
@@ -104,18 +107,6 @@ class TreeStats:
 
     rotations: int = 0
     fixes: int = 0
-
-
-@dataclass
-class AttachPoint:
-    """The empty child slot between two consecutive in-order ranks.
-
-    parent is None when the whole tree is empty.  The designated slot must
-    be empty when the attach point is used.
-    """
-
-    parent: Node | None
-    side: str  # "left" | "right"
 
 
 class Tree:
@@ -390,25 +381,9 @@ def isolate(tree: Tree, i: int, j: int, cfg: FingerprintContext, stats: TreeStat
     The returned node has at most two ancestors: it is the root (i = 1,
     j = n), a child of the root (one-sided case), or the left child of the
     root's right child (general case).  Its own flags are clear on return.
-
-    With j = i - 1 the range is empty and the matching AttachPoint (the
-    empty slot between ranks i-1 and i) is returned instead.
+    Ranges are non-empty, i <= j; an empty one is a `split` point.
     """
     n = tree.size
-    if j == i - 1:
-        if not 1 <= i <= n + 1:
-            raise RangeError(f"attach position {i} outside [1, {n + 1}]")
-        if n == 0:
-            return AttachPoint(None, "left")
-        if i == 1:
-            return AttachPoint(find(tree, 1, cfg, stats), "left")
-        if i == n + 1:
-            return AttachPoint(find(tree, n, cfg, stats), "right")
-        find(tree, i, cfg, stats)
-        x = descend_to_rank(tree.root, i - 1, cfg, stats)
-        splay(x, cfg, stats, forbid_final_zigzig=True)
-        tree.root = x
-        return AttachPoint(x.right, "left")
     if not (1 <= i <= j <= n):
         raise RangeError(f"range [{i}, {j}] outside [1, {n}]")
     if i == 1 and j == n:
@@ -442,41 +417,13 @@ def repull_ancestors_from(a: Node | None, cfg: FingerprintContext) -> None:
         a = a.parent
 
 
-def detach(y: Node, cfg: FingerprintContext, tree: Tree) -> None:
-    """Remove subtree y from its tree, repulling its former ancestors."""
-    par = y.parent
-    if par is None:
-        tree.root = None
-        return
-    if par.left is y:
-        par.left = NULL
-    else:
-        par.right = NULL
-    y.parent = None
-    repull_ancestors_from(par, cfg)
-
-
-def attach(point: AttachPoint, sub: Node | None, cfg: FingerprintContext,
-           tree: Tree) -> None:
-    """Splice subtree sub into the empty slot, repulling the ancestors."""
-    if sub is None:
-        return
-    par = point.parent
-    if par is None:
-        sub.parent = None
-        tree.root = sub
-        return
-    if point.side == "left":
-        par.left = sub
-    else:
-        par.right = sub
-    sub.parent = par
-    repull_ancestors_from(par, cfg)
-
-
 def join(left: Node | None, right: Node | None, cfg: FingerprintContext,
          stats: TreeStats) -> Node | None:
-    """Concatenate two trees; all of right goes after all of left."""
+    """Concatenate two trees; all of right goes after all of left.
+
+    Its walk down left's right spine, the only step that can raise, comes
+    before any link; a left tree rooted at its last node has no spine.
+    """
     if left is None:
         return right
     if right is None:
@@ -498,7 +445,8 @@ def join(left: Node | None, right: Node | None, cfg: FingerprintContext,
 
 def split(tree: Tree, k: int, cfg: FingerprintContext,
           stats: TreeStats) -> tuple[Node | None, Node | None]:
-    """Split after rank k: returns (ranks 1..k, ranks k+1..n)."""
+    """Split after rank k: returns (ranks 1..k, ranks k+1..n); for
+    0 < k < n the left one is rooted at its last node."""
     n = tree.size
     if not 0 <= k <= n:
         raise RangeError(f"split point {k} outside [0, {n}]")

@@ -123,8 +123,9 @@ def test_criterion_4_bulk_load_shape_and_timing():
         for n in range(1, 1025):
             root = sc.build_balanced(list(range(n)), cfg)
             assert sc.tree_height(root) <= math.ceil(math.log2(n + 1)), n
-        t1 = time_make_string(1 << 20, seed=41)
-        t2 = time_make_string(1 << 21, seed=41)
+        # Best of 3: the first large build of a process often runs slow.
+        t1, t2 = (min(time_make_string(n, seed=41) for _ in range(3))
+                  for n in (1 << 20, 1 << 21))
         ratio = t2 / t1
         assert 1.6 <= ratio <= 2.6, (t1, t2, ratio)
 

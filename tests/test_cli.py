@@ -419,3 +419,20 @@ def test_lcp_omega_infinite_divergence_is_labelled(monkeypatch, pair, answer,
                            "LCPW a 1 b 1"], shadow=True)
     assert result.exit_code == 3
     assert result.collisions == int(collision)
+
+
+def test_a_real_equal_collision_is_labelled_at_a_small_modulus():
+    # u = 1·0^84 and v = 0^84·1 differ by x^84 - 1, so their fingerprints
+    # collide at every base b with b^84 = 1 (mod p).  No call is patched:
+    # the forest's own EQUAL answers True and the oracle's False.
+    p, k = 8191, 84
+    b = next(b for b in range(2, p) if pow(b, k, p) == 1)
+    runner = ScriptRunner(seed=0, shadow=True)
+    runner.forest.ctx = FingerprintContext(seed=0, modulus=p, base=b)
+    zeros = " ".join(["0"] * k)
+    with pytest.raises(ShadowDivergence) as info:
+        runner.run([f"MAKEN u {k + 1} 1 {zeros}",
+                    f"MAKEN v {k + 1} {zeros} 1",
+                    f"EQUAL u 1 v 1 {k + 1}"])
+    assert str(info.value).endswith("(fingerprint collision)")
+    assert runner.collisions == 1

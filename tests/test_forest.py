@@ -884,15 +884,22 @@ def test_map_leaves_string_intact_after_an_involution_fault():
     for i, j in ((320, 131), (300, 299)):
         k, _ = _walk_involution_faults(CIRCULAR, "reverse", i, j)
         assert k > 5
-    # A wrapped extract turns back when the isolate after its turn faults.
+    # A wrapped extract turns back when a split after its turn faults.
     k, _ = _walk_involution_faults(CIRCULAR, "extract", 260, 240)
+    assert k > 5
+    # extract joins its pieces back when its second split faults; insert
+    # faults only in its split, before the node is linked.
+    k, _ = _walk_involution_faults(LINEAR, "extract", 100, 400)
+    assert k > 5
+    k, _ = _walk_involution_faults(LINEAR, "insert", 250, 7)
     assert k > 5
 
 
 def test_introduce_keeps_the_donor_after_an_involution_fault():
-    # introduce isolates its attach point, whose descent's fixes look up
-    # the involution, before the donor dies: a fault there leaves both
-    # strings as they were and the donor alive.
+    # introduce splays the donor's last symbol to its root and splits the
+    # receiver before the donor dies.  Both descents' fixes look up the
+    # involution (the donor's too, once it is mapped), and a fault in
+    # either leaves both strings as they were and the donor alive.
     k = 0
     while True:
         k += 1
@@ -901,8 +908,10 @@ def test_introduce_keeps_the_donor_after_an_involution_fault():
         o = oracle.make_string(w)
         for f, t in ((forest, s), (oracle, o)):
             f.map(t, 100, 400)
-        donor, o_donor = forest.make_string([5, 6, 7]), \
-            oracle.make_string([5, 6, 7])
+        donor, o_donor = forest.make_string([3, 4, 5, 6, 7]), \
+            oracle.make_string([3, 4, 5, 6, 7])
+        for f, t in ((forest, donor), (oracle, o_donor)):
+            f.map(t, 1, 5)
         table.fault_at = table.calls + k
         try:
             forest.introduce(s, 106, donor)
@@ -912,7 +921,7 @@ def test_introduce_keeps_the_donor_after_an_involution_fault():
             for t, mirror in ((s, o), (donor, o_donor)):
                 sc.verify_tree(t.tree.root, forest.ctx)
                 assert full(forest, t) == mirror.symbols, k
-            assert forest.total_length == 503
+            assert forest.total_length == 505
         else:
             break
     table.fault_at = 0

@@ -236,7 +236,7 @@ FLIP = {c: c ^ 1 for c in range(256)}
        st.randoms(use_true_random=False))
 def test_splay_preserves_inorder_and_aggregates(symbols, rnd):
     # Pending rev/map flags on isolated ranges make later splays run over
-    # flagged nodes; isolate covers forbid_final_zigzig and attach points.
+    # flagged nodes; isolate covers forbid_final_zigzig.
     # Ancestors are repulled only after a flag toggle, so a stale aggregate
     # left by a splay reaches verify_tree.
     tree, cfg, stats = make_tree(symbols, fmap=FLIP)
@@ -244,11 +244,11 @@ def test_splay_preserves_inorder_and_aggregates(symbols, rnd):
     n = len(want)
     for _ in range(20):
         i = rnd.randrange(1, n + 1)
-        j = rnd.randrange(i - 1, n + 1)
+        j = rnd.randrange(i, n + 1)
         kind = rnd.randrange(4)
         if kind == 0:
             sc.find(tree, i, cfg, stats)
-        elif kind == 1 or j == i - 1:
+        elif kind == 1:
             sc.isolate(tree, i, j, cfg, stats)
         else:
             y = sc.isolate(tree, i, j, cfg, stats)
@@ -327,31 +327,6 @@ def test_isolate_matches_slice_with_two_ancestors_max(data):
     sc.verify_tree(tree.root, cfg)
 
 
-def test_isolate_attach_point_between_ranks():
-    symbols = list(range(10))
-    for i in range(1, 12):
-        tree, cfg, stats = make_tree(symbols, shuffle_seed=i)
-        point = sc.isolate(tree, i, i - 1, cfg, stats)
-        assert isinstance(point, sc.AttachPoint)
-        slot = getattr(point.parent, point.side)
-        assert slot is sc.NULL
-        # splicing a fresh node there lands at rank i
-        cfg.reserve(tree.size + 1)
-        node = sc.Node(99)
-        sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
-        sc.attach(point, node, cfg, tree)
-        want = symbols[:i - 1] + [99] + symbols[i - 1:]
-        assert content(tree, cfg) == want
-        sc.verify_tree(tree.root, cfg)
-
-
-def test_isolate_attach_point_in_empty_tree():
-    tree = sc.Tree(None)
-    cfg = make_cfg()
-    point = sc.isolate(tree, 1, 0, cfg, sc.TreeStats())
-    assert point.parent is None
-
-
 def test_isolate_range_errors():
     tree, cfg, stats = make_tree([1, 2, 3])
     with pytest.raises(RangeError):
@@ -360,6 +335,8 @@ def test_isolate_range_errors():
         sc.isolate(tree, 1, 4, cfg, stats)
     with pytest.raises(RangeError):
         sc.isolate(tree, 5, 4, cfg, stats)
+    with pytest.raises(RangeError):  # empty ranges are split points
+        sc.isolate(tree, 2, 1, cfg, stats)
 
 
 # -------------------------------------------------------------- join / split
@@ -405,6 +382,29 @@ def test_split_then_join_roundtrip(data):
     tree.root = sc.join(left, right, cfg, stats)
     assert content(tree, cfg) == symbols
     sc.verify_tree(tree.root, cfg)
+
+
+def test_split_join_splices_a_node_at_every_rank():
+    # Forest.insert's splice: split before rank i, then join the left piece,
+    # the node and the right piece.  The left piece is rooted at its last
+    # node, so its join walks no spine.
+    symbols = list(range(10))
+    cases = [(sc.Tree(None), [], make_cfg(), sc.TreeStats(), 1)]
+    for i in range(1, 12):
+        tree, cfg, stats = make_tree(symbols, shuffle_seed=i)
+        cases.append((tree, symbols, cfg, stats, i))
+    for tree, want, cfg, stats, i in cases:
+        n = tree.size
+        cfg.reserve(n + 1)
+        node = sc.Node(99)
+        sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
+        left, right = sc.split(tree, i - 1, cfg, stats)
+        if 1 < i <= n:
+            assert left.right is sc.NULL
+        tree.root = sc.join(left, sc.join(node, right, cfg, stats), cfg,
+                            stats)
+        assert content(tree, cfg) == want[:i - 1] + [99] + want[i - 1:]
+        sc.verify_tree(tree.root, cfg)
 
 
 # ----------------------------------------------------------- build_balanced
