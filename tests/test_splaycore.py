@@ -384,27 +384,33 @@ def test_split_then_join_roundtrip(data):
     sc.verify_tree(tree.root, cfg)
 
 
-def test_split_join_splices_a_node_at_every_rank():
+def splice_by_split_join(tree, want, cfg, stats, i):
     # Forest.insert's splice: split before rank i, then join the left piece,
     # the node and the right piece.  The left piece is rooted at its last
     # node, so its join walks no spine.
+    n = tree.size
+    cfg.reserve(n + 1)
+    node = sc.Node(99)
+    sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
+    left, right = sc.split(tree, i - 1, cfg, stats)
+    if 1 < i <= n:
+        assert left.right is sc.NULL
+    tree.root = sc.join(left, sc.join(node, right, cfg, stats), cfg, stats)
+    assert content(tree, cfg) == want[:i - 1] + [99] + want[i - 1:]
+    sc.verify_tree(tree.root, cfg)
+
+
+def test_isolate_attach_point_between_ranks():
+    # The point between ranks i - 1 and i is the split at i - 1; a node
+    # spliced there lands at rank i, for every i in 1..n + 1.
     symbols = list(range(10))
-    cases = [(sc.Tree(None), [], make_cfg(), sc.TreeStats(), 1)]
     for i in range(1, 12):
         tree, cfg, stats = make_tree(symbols, shuffle_seed=i)
-        cases.append((tree, symbols, cfg, stats, i))
-    for tree, want, cfg, stats, i in cases:
-        n = tree.size
-        cfg.reserve(n + 1)
-        node = sc.Node(99)
-        sc.pull(node, cfg.base, cfg.modulus, cfg.pw, cfg.fmap)
-        left, right = sc.split(tree, i - 1, cfg, stats)
-        if 1 < i <= n:
-            assert left.right is sc.NULL
-        tree.root = sc.join(left, sc.join(node, right, cfg, stats), cfg,
-                            stats)
-        assert content(tree, cfg) == want[:i - 1] + [99] + want[i - 1:]
-        sc.verify_tree(tree.root, cfg)
+        splice_by_split_join(tree, symbols, cfg, stats, i)
+
+
+def test_isolate_attach_point_in_empty_tree():
+    splice_by_split_join(sc.Tree(None), [], make_cfg(), sc.TreeStats(), 1)
 
 
 # ----------------------------------------------------------- build_balanced
