@@ -1,18 +1,20 @@
 """Comparison results and the one lcp pipeline behind `lcp` and `lcp_omega`.
 
-The pipeline compares two probe targets ("sides") exactly at both ends and
-by prefix fingerprints in between.  It reads the first `READ_WIDTH`
-symbols of each side, where most lcps end; past them it runs a border
-probe, one mid-scale probe, repeated squaring for an upper bound and an
-exponential search that stops once its bracket is at most `READ_WIDTH`
-wide, and then reads that bracket.  Each stage starts from the longest
-length the earlier ones showed equal and stops below the shortest they
-showed unequal, so no length is probed twice.  Every probe and read runs
-in place: it isolates a range of its side's own tree, which only splays,
-so no symbol ever leaves its string.  (The paper moves each probe range
-into a tree of its own.  In place, the probes of one side stay within
-about the lcp's length of each other, which the dynamic finger bound of
-splay trees argues makes each cost O(log lcp) amortized after the first.)
+The pipeline compares two sides, each a string unrolled from a stored
+start, exactly at both ends and by prefix fingerprints in between.  Within
+one turn a side is the plain suffix, so `lcp` and `lcp_omega` differ only
+in the full length they pass.  It reads the first `READ_WIDTH` symbols of
+each side, where most lcps end; past them it runs a border probe, one
+mid-scale probe, repeated squaring for an upper bound and an exponential
+search that stops once its bracket is at most `READ_WIDTH` wide, and then
+reads that bracket.  Each stage starts from the longest length the earlier
+ones showed equal and stops below the shortest they showed unequal, so no
+length is probed twice.  Every probe and read runs in place: it isolates a
+range of its side's own tree, which only splays, so no symbol ever leaves
+its string.  (The paper moves each probe range into a tree of its own.  In
+place, the probes of one side stay within about the lcp's length of each
+other, which the dynamic finger bound of splay trees argues makes each
+cost O(log lcp) amortized after the first.)
 """
 
 from __future__ import annotations
@@ -123,26 +125,32 @@ def _mismatch(pair, before: int):
     return None
 
 
-def lcp_pipeline(forest, sides, full: int, total: int, read):
-    """(length, order) of the longest common prefix of two sides, or None
-    when both are one (string, start) or their first `full` symbols agree.
+def lcp_pipeline(forest, s1, i1: int, s2, i2: int, full: int, total: int):
+    """(length, order) of the longest common prefix of s1 unrolled from
+    stored position i1 and s2 unrolled from i2, or None when both are one
+    (string, start) or their first `full` symbols agree.
 
-    sides are two (string, stored start, prefix fp) triples, where fp(t)
-    fingerprints the side's first t symbols in place; read(t0, t1) gives
-    the two sides' symbols t0..t1 as two lists.  total sets the mid-scale
-    probe, min(2^ceil((log2 total)^(2/3)), full).  Every call counts as one
-    lcp in forest.stats and leaves its probe record in stats.last_lcp.
+    Probes fingerprint prefixes with `forest._fp` and reads take symbols
+    with `forest._symbols`, both in place.  total sets the mid-scale probe,
+    min(2^ceil((log2 total)^(2/3)), full).  Every call counts as one lcp in
+    forest.stats and leaves its probe record in stats.last_lcp.
     """
     stats = forest.stats
     rec = LcpProbes()
     stats.lcp_calls += 1
     stats.last_lcp = rec
-    (s1, a1, fp1), (s2, a2, fp2) = sides
-    if s1 is s2 and a1 == a2:
+    if s1 is s2 and i1 == i2:
         return None
+    fp = forest._fp
+    symbols = forest._symbols
 
     def eq_at(t):
-        return fp1(t) == fp2(t)
+        return fp(s1, i1, t) == fp(s2, i2, t)
+
+    def read(t0, t1):
+        """The two sides' symbols t0..t1, as two lists."""
+        t = t1 - t0 + 1
+        return symbols(s1, i1 + t0 - 1, t), symbols(s2, i2 + t0 - 1, t)
 
     # Head: the first K symbols, read exactly; then the border probe at
     # `full`.

@@ -11,7 +11,6 @@ A Forest is single-threaded: queries splay, so even reads mutate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from . import circular as _circ
 from . import splaycore as sc
@@ -80,15 +79,11 @@ class Forest:
     with seed=None it is drawn at random and recorded in `ctx.seed`.
     involution, when given, is a symbol self-inverse mapping used by map(),
     kept as `ctx.fmap`.
-    With audit=True every public operation re-verifies all aggregates of the
-    trees it touched (slow; for tests).
     """
 
-    def __init__(self, seed: int | None = None, involution=None,
-                 audit: bool = False):
+    def __init__(self, seed: int | None = None, involution=None):
         self.ctx = FingerprintContext(seed=seed, involution=involution)
         self.stats = ForestStats()
-        self.audit = audit
         self._strings: dict[int, DynString] = {}
         self._next_id = 0
 
@@ -118,12 +113,6 @@ class Forest:
                 or self._strings.get(s.id) is not s:
             raise HandleError(f"stale or foreign handle {s!r}")
 
-    def _after(self, *touched) -> None:
-        if self.audit:
-            for s in touched:
-                if s.alive:
-                    sc.verify_tree(s.tree.root, self.ctx)
-
     # ----------------------------------------------------------- creation
 
     def make_string(self, w, mode: str = LINEAR) -> DynString:
@@ -132,7 +121,6 @@ class Forest:
             raise UsageError(f"unknown mode {mode!r}")
         syms = _as_symbols(w)
         s = self._register(sc.build_balanced(syms, self.ctx), mode)
-        self._after(s)
         return s
 
     # ------------------------------------------------------------ queries
@@ -142,7 +130,6 @@ class Forest:
         self._check(s)
         self.stats.finds += 1
         node = sc.find(s.tree, i, self.ctx, self.stats)
-        self._after(s)
         return node.char
 
     def retrieve(self, s: DynString, i: int, j: int) -> list[int]:
@@ -154,12 +141,8 @@ class Forest:
         self._check(s)
         if s.mode == LINEAR and i == j + 1 and 1 <= i <= s.length + 1:
             return []
-        pieces = self._pieces(s, i, j)
-        out = sc.inorder_symbols(next(pieces), self.ctx, self.stats)
-        for y in pieces:
-            out += sc.inorder_symbols(y, self.ctx, self.stats)
-        self._after(s)
-        return out
+        self._wraps(s, i, j)
+        return self._symbols(s, i, (j - i) % s.length + 1)
 
     def equal(self, s1: DynString, i1: int, s2: DynString, i2: int,
               l: int) -> bool:
@@ -170,11 +153,22 @@ class Forest:
             raise RangeError("negative length")
         if l == 0:
             return True
-        fp1 = self._range_fp(s1, i1, l)
-        fp2 = self._range_fp(s2, i2, l)
+        fps = []
+        for s, i in ((s1, i1), (s2, i2)):
+            n = s.length
+            if s.mode == LINEAR:
+                if not (1 <= i and i + l - 1 <= n):
+                    raise RangeError(
+                        f"range [{i}, {i + l - 1}] outside [1, {n}]")
+            else:
+                if not 1 <= i <= n:
+                    raise RangeError(f"position {i} outside [1, {n}]")
+                if l > n:
+                    raise RangeError(
+                        f"range length {l} exceeds circle size {n}")
+            fps.append(self._fp(s, i, l))
         self.stats.equal_tests += 1
-        self._after(s1, s2)
-        return fp1 == fp2
+        return fps[0] == fps[1]
 
     # ------------------------------------------------------------- edits
 
@@ -187,7 +181,6 @@ class Forest:
         node = sc.find(s.tree, i, ctx, self.stats)
         node.char = c
         sc.pull(node, ctx.base, ctx.modulus, ctx.pw, ctx.fmap)
-        self._after(s)
 
     def insert(self, s: DynString, i: int, c: int) -> None:
         """Insert symbol c so it lands at position i; appending uses i = n+1.
@@ -205,23 +198,14 @@ class Forest:
         left, right = sc.split(s.tree, i - 1, ctx, self.stats)
         s.tree.root = sc.join(left, sc.join(node, right, ctx, self.stats),
                               ctx, self.stats)
-        self._after(s)
 
     def delete(self, s: DynString, i: int) -> None:
-        """Remove the symbol at position i."""
+        """Remove the symbol at position i: `extract`'s cut of i..i."""
         self._check(s)
         if not 1 <= i <= s.length:
             raise RangeError(f"position {i} outside [1, {s.length}]")
         self.stats.finds += 1
-        x = sc.find(s.tree, i, self.ctx, self.stats)
-        left = x.left if x.left is not sc.NULL else None
-        right = x.right if x.right is not sc.NULL else None
-        if left is not None:
-            left.parent = None
-        if right is not None:
-            right.parent = None
-        s.tree.root = sc.join(left, right, self.ctx, self.stats)
-        self._after(s)
+        self._cut(s.tree, i, i)
 
     # ----------------------------------------------- splicing and slicing
 
@@ -248,7 +232,6 @@ class Forest:
             s1.tree.root = sc.join(left, sc.join(sub, right, ctx, self.stats),
                                    ctx, self.stats)
         self._destroy(s2)
-        self._after(s1)
 
     def drop(self, s: DynString) -> None:
         """Destroy s and its symbols in O(1); the handle dies."""
@@ -262,27 +245,18 @@ class Forest:
         wrapped range is turned to the front first; what remains of s,
         j+1..i-1, is then in canonical order.
 
-        Two splits cut the range out and a join closes the gap.  If a split
-        raises, the pieces are joined back (the left one has no spine to
-        walk) and a turned string is turned back, so s is as it was.
+        The range is cut out by `_cut`.  If that raises, a turned string
+        is turned back, so s is as it was.
         """
         self._check(s)
-        ctx = self.ctx
-        tree = s.tree
         a, b, back = self._turned(s, i, j)
-        left, rest = None, tree.root
         try:
-            left, rest = sc.split(tree, a - 1, ctx, self.stats)
-            mid, right = sc.split(sc.Tree(rest), b - a + 1, ctx, self.stats)
+            mid = self._cut(s.tree, a, b)
         except BaseException:
-            tree.root = sc.join(left, rest, ctx, self.stats)
             if back:
                 _circ.rotate_to_front(self, s, back)
             raise
-        tree.root = sc.join(left, right, ctx, self.stats)
-        out = self._register(mid, LINEAR)
-        self._after(s, out)
-        return out
+        return self._register(mid, LINEAR)
 
     # ------------------------------------------------------ lazy range ops
 
@@ -315,7 +289,6 @@ class Forest:
         finally:
             if back:
                 _circ.rotate_to_front(self, s, back)
-        self._after(s)
 
     def map(self, s: DynString, i: int, j: int) -> None:
         """Apply the forest involution to every symbol in i..j, lazily.
@@ -327,9 +300,10 @@ class Forest:
         ctx = self.ctx
         if ctx.fmap is None:
             raise UsageError("forest has no involution configured")
-        if i == j + 1 and self._wraps(s, i, j):
-            i, j = 1, s.length
-        pieces = list(self._pieces(s, i, j))
+        self._wraps(s, i, j)
+        n = s.length
+        t = (j - i) % n + 1
+        pieces = list(self._pieces(s, 1 if t == n else i, t))
         # A map-flagged subtree must be fresh; the flags go on only once
         # every piece has been refreshed.
         for y in pieces:
@@ -337,7 +311,6 @@ class Forest:
         for y in pieces:
             y.map = not y.map
             sc.repull_ancestors_from(y.parent, ctx)
-        self._after(s)
 
     # --------------------------------------------------- circular/omega ops
 
@@ -352,26 +325,20 @@ class Forest:
         """Whether the length-l prefixes of the two unrolled strings match."""
         self._check(s1)
         self._check(s2)
-        out = _circ.equal_omega(self, s1, i1, s2, i2, l)
-        self._after(s1, s2)
-        return out
+        return _circ.equal_omega(self, s1, i1, s2, i2, l)
 
     def equal_omega_omega(self, s1: DynString, i1: int, l1: int,
                           s2: DynString, i2: int, l2: int) -> bool:
         """Whether the unrollings of two unrolled substrings coincide."""
         self._check(s1)
         self._check(s2)
-        out = _circ.equal_omega_omega(self, s1, i1, l1, s2, i2, l2)
-        self._after(s1, s2)
-        return out
+        return _circ.equal_omega_omega(self, s1, i1, l1, s2, i2, l2)
 
     def lcp_omega(self, s1: DynString, i1: int, s2: DynString, i2: int):
         """Longest common prefix of the two unrolled strings; may be infinite."""
         self._check(s1)
         self._check(s2)
-        out = _circ.lcp_omega(self, s1, i1, s2, i2)
-        self._after(s1, s2)
-        return out
+        return _circ.lcp_omega(self, s1, i1, s2, i2)
 
     # ------------------------------------------------------------- the lcp
 
@@ -391,17 +358,7 @@ class Forest:
             raise RangeError(f"suffix start {i2} outside [1, {n2}]")
         m1 = n1 - i1 + 1
         m2 = n2 - i2 + 1
-
-        def side(s, i):
-            return s, i, partial(self._prefix_fp, s.tree, i)
-
-        def read(t0, t1):
-            return (self._read(s1.tree, i1 + t0 - 1, i1 + t1 - 1),
-                    self._read(s2.tree, i2 + t0 - 1, i2 + t1 - 1))
-
-        out = lcp_pipeline(self, (side(s1, i1), side(s2, i2)), min(m1, m2),
-                           n1 + n2, read)
-        self._after(s1, s2)
+        out = lcp_pipeline(self, s1, i1, s2, i2, min(m1, m2), n1 + n2)
         if out is None:  # one suffix is a prefix of the other
             return min(m1, m2), order_of(m1, m2)
         return out
@@ -418,19 +375,25 @@ class Forest:
             raise RangeError(f"range [{i}, {j}] outside [1, {n}]")
         return False
 
-    def _pieces(self, s, i, j):
-        """Isolate the range i..j and yield the subtree roots that hold it
-        in order: one, or for a wrapped range [i..n] then [1..j].
+    def _pieces(self, s, i, t):
+        """Isolate the t symbols from stored position i and yield the
+        subtree roots that hold them in order: none for t = 0, [i..i+t-1],
+        or [i..n] then [1..i+t-1-n] when the range wraps through the seam.
 
-        The second isolate runs when the second piece is asked for.  For
-        i > j + 1 the first piece survives it, because its splay rises from
-        the left of node i-1; for i = j + 1 it does not.
+        The second isolate runs when the second piece is asked for, so a
+        caller reads each piece before asking for the next.  For t < n the
+        first piece survives it, because its splay rises from the left of
+        node i-1; at t = n it does not.
         """
-        if self._wraps(s, i, j):
-            yield sc.isolate(s.tree, i, s.length, self.ctx, self.stats)
-            yield sc.isolate(s.tree, 1, j, self.ctx, self.stats)
+        if t == 0:
+            return
+        n = s.tree.size
+        end = i + t - 1
+        if end <= n:
+            yield sc.isolate(s.tree, i, end, self.ctx, self.stats)
         else:
-            yield sc.isolate(s.tree, i, j, self.ctx, self.stats)
+            yield sc.isolate(s.tree, i, n, self.ctx, self.stats)
+            yield sc.isolate(s.tree, 1, end - n, self.ctx, self.stats)
 
     def _turned(self, s, i, j) -> tuple[int, int, int | None]:
         """(a, b, back): the range i..j sits at a..b once a wrapped range
@@ -442,25 +405,56 @@ class Forest:
         _circ.rotate_to_front(self, s, i)
         return 1, n - i + 1 + j, n - i + 2
 
-    def _range_fp(self, s, i, l) -> int:
-        """Fingerprint of a length-l range; a circular one may wrap."""
-        n = s.length
-        if s.mode == LINEAR:
-            if not (1 <= i and i + l - 1 <= n):
-                raise RangeError(f"range [{i}, {i + l - 1}] outside [1, {n}]")
-        else:
-            if not 1 <= i <= n:
-                raise RangeError(f"position {i} outside [1, {n}]")
-            if l > n:
-                raise RangeError(f"range length {l} exceeds circle size {n}")
-        return _circ._slice_fp(self, s, i, l)
+    def _fp(self, s, i, t) -> int:
+        """Fingerprint of the first t symbols of s unrolled from stored
+        position i, taken in place: the pieces of at most one turn folded
+        by concatenation, and past one turn a geometric sum over the copies
+        of the turn.  It moves no symbol, so both operands of a comparison
+        may be one string.
+        """
+        ctx = self.ctx
+        p = ctx.modulus
+        pw = ctx.pw
+        n = s.tree.size
+        copies, part = (0, t) if t <= n else divmod(t, n)
+        fp = 0
+        for y in self._pieces(s, i, part):
+            fp = (fp * pw[y.size] + y.fp) % p
+        if not copies:
+            return fp
+        turn = 0
+        for y in self._pieces(s, i, n):
+            turn = (turn * pw[y.size] + y.fp) % p
+        geo = ctx.geomsum(pw[n], copies - 1)
+        return (turn * geo % p * pw[part] + fp) % p
 
-    def _read(self, tree, a, b) -> list[int]:
-        """The symbols at stored positions a..b."""
-        y = sc.isolate(tree, a, b, self.ctx, self.stats)
-        return sc.inorder_symbols(y, self.ctx, self.stats)
+    def _symbols(self, s, i, t) -> list[int]:
+        """The first t symbols of s unrolled from stored position i: at most
+        one turn, read from (i-1) mod n + 1, then repeated."""
+        n = s.tree.size
+        out = []
+        for y in self._pieces(s, (i - 1) % n + 1, min(t, n)):
+            out += sc.inorder_symbols(y, self.ctx, self.stats)
+        if t > n:
+            out = (out * (t // n + 1))[:t]
+        return out
 
-    def _prefix_fp(self, tree, a, t) -> int:
-        """Fingerprint of the t symbols from stored position a."""
-        y = sc.isolate(tree, a, a + t - 1, self.ctx, self.stats)
-        return y.fp
+    def _cut(self, tree, a, b):
+        """Cut ranks a..b out of tree, close the gap and return the root of
+        the cut piece.
+
+        Two splits cut the range out and a join closes the gap; the left
+        piece is rooted at its last node, so that join walks no spine and
+        cannot raise.  If a split raises, the pieces are joined back the
+        same way, so the tree is as it was.
+        """
+        ctx = self.ctx
+        left, rest = None, tree.root
+        try:
+            left, rest = sc.split(tree, a - 1, ctx, self.stats)
+            mid, right = sc.split(sc.Tree(rest), b - a + 1, ctx, self.stats)
+        except BaseException:
+            tree.root = sc.join(left, rest, ctx, self.stats)
+            raise
+        tree.root = sc.join(left, right, ctx, self.stats)
+        return mid

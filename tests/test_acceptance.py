@@ -76,8 +76,13 @@ def test_criterion_2_aggregate_audit():
         from fest.cli import ScriptRunner
         runner = ScriptRunner(seed=77, involution=standard_involution(),
                               shadow=False, out=None)
-        runner.forest.audit = True  # verify_tree after every public op
-        runner.run(lines)
+        # verify_tree after every line, on every live string it names
+        for line_no, line in enumerate(lines, 1):
+            runner.run_line(line, line_no)
+            for tok in line.split()[1:]:
+                s = runner.handles.get(tok)
+                if s is not None and s.alive:
+                    sc.verify_tree(s.tree.root, runner.forest.ctx)
         assert runner.ops == 10_000
 
 

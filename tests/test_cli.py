@@ -436,3 +436,27 @@ def test_a_real_equal_collision_is_labelled_at_a_small_modulus():
                     f"EQUAL u 1 v 1 {k + 1}"])
     assert str(info.value).endswith("(fingerprint collision)")
     assert runner.collisions == 1
+
+
+@pytest.mark.parametrize("make,verb", [("MAKEN", "LCP"), ("MAKECN", "LCPW")])
+def test_a_real_lcp_collision_is_labelled_at_a_small_modulus(make, verb):
+    # u = 0^100·1·0^93 and v = 0^184·1·0^9 differ by x^9·(x^84 - 1), so at
+    # a base with b^84 = 1 (mod p) their whole fingerprints collide: the
+    # head read sees 64 zeros on both, the border probe matches, and the
+    # forest answers (194, EQUAL), or (INF, EQUAL) unrolled, where the
+    # oracle answers (100, GREATER).  No call is patched.
+    p, k = 8191, 84
+    b = next(b for b in range(2, p) if pow(b, k, p) == 1)
+    assert b == 90
+    runner = ScriptRunner(seed=0, shadow=True)
+    runner.forest.ctx = FingerprintContext(seed=0, modulus=p, base=b)
+
+    def word(zeros, rest):
+        return " ".join(["0"] * zeros + ["1"] + ["0"] * rest)
+
+    with pytest.raises(ShadowDivergence) as info:
+        runner.run([f"{make} u 194 {word(100, 93)}",
+                    f"{make} v 194 {word(184, 9)}",
+                    f"{verb} u 1 v 1"])
+    assert str(info.value).endswith("(fingerprint collision)")
+    assert runner.collisions == 1

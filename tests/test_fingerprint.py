@@ -150,6 +150,6 @@ def test_default_seed_is_drawn_and_replays():
     for f in (a, replay):
         s = f.make_string("abracadabra")
         t = f.make_string("abracadabrx")
-        answers.append((f._prefix_fp(s.tree, 1, 11), f.lcp(s, 1, t, 1),
+        answers.append((f._fp(s, 1, 11), f.lcp(s, 1, t, 1),
                         f.equal(s, 1, s, 8, 4)))
     assert answers[0] == answers[1]

@@ -8,7 +8,6 @@ import pytest
 
 from fest import CIRCULAR, INFINITE, LINEAR, FingerprintContext, Forest, \
     HandleError, Order, RangeError, UsageError
-from fest import circular as fest_circular
 from fest import compare as fest_compare
 from fest import forest as fest_forest
 from fest import splaycore as sc
@@ -384,6 +383,33 @@ def test_lazy_ops_interleaved_with_edits_match_oracle(forest):
         assert full(forest, s) == o.symbols
 
 
+# ------------------------------------------------------------- range walker
+
+@pytest.mark.parametrize("mode", [LINEAR, CIRCULAR])
+def test_walker_fingerprints_and_reads_every_unrolled_prefix(mode):
+    # Every start i and every t in 0..3n, on strings of n = 1..6 with
+    # pending flags.  This covers t = n with i > 1, where the second
+    # isolate splits the first piece, and t a multiple of n, where no part
+    # follows the whole turns.
+    rng = random.Random(19)
+    forest, oracle = Forest(seed=19, involution=FLIP), \
+        OracleForest(involution=FLIP)
+    for n in range(1, 7):
+        w = [rng.randrange(8) for _ in range(n)]
+        s, o = forest.make_string(w, mode), oracle.make_string(w, mode)
+        for op in ("map", "reverse", "map"):
+            i, j = sorted(rng.choices(range(1, n + 1), k=2))
+            for f, t in ((forest, s), (oracle, o)):
+                getattr(f, op)(t, i, j)
+        for i in range(1, n + 1):
+            for t in range(3 * n + 1):
+                want = oracle._omega_prefix(o, i, t)
+                assert forest._fp(s, i, t) == forest.ctx.eval(want), (n, i, t)
+                sc.verify_tree(s.tree.root, forest.ctx)
+                assert forest._symbols(s, i, t) == want, (n, i, t)
+                sc.verify_tree(s.tree.root, forest.ctx)
+
+
 # ---------------------------------------------------------------------- lcp
 
 def test_lcp_identical_suffixes(forest):
@@ -481,19 +507,13 @@ def _record_probe_lengths(monkeypatch):
     """Log the length of every prefix fingerprint an lcp takes, one entry per
     side."""
     lengths = []
-    prefix_fp = fest_forest.Forest._prefix_fp
-    omega_fp = fest_circular._omega_fp
+    fp = fest_forest.Forest._fp
 
-    def logged_prefix_fp(self, tree, a, t):
+    def logged_fp(self, s, i, t):
         lengths.append(t)
-        return prefix_fp(self, tree, a, t)
+        return fp(self, s, i, t)
 
-    def logged_omega_fp(forest, s, i, length):
-        lengths.append(length)
-        return omega_fp(forest, s, i, length)
-
-    monkeypatch.setattr(fest_forest.Forest, "_prefix_fp", logged_prefix_fp)
-    monkeypatch.setattr(fest_circular, "_omega_fp", logged_omega_fp)
+    monkeypatch.setattr(fest_forest.Forest, "_fp", logged_fp)
     return lengths
 
 
@@ -774,10 +794,8 @@ def test_lcp_restores_strings_after_a_fault(monkeypatch, case):
     for helper in ("squaring_upper_bound", "exponential_search"):
         monkeypatch.setattr(fest_compare, helper,
                             faulty(getattr(fest_compare, helper)))
-    monkeypatch.setattr(fest_forest.Forest, "_read",
-                        ticking(fest_forest.Forest._read))
-    monkeypatch.setattr(fest_circular, "_omega_read",
-                        ticking(fest_circular._omega_read))
+    monkeypatch.setattr(fest_forest.Forest, "_symbols",
+                        ticking(fest_forest.Forest._symbols))
     while True:
         fault_at[0] += 1
         points[0] = 0
@@ -796,6 +814,7 @@ def test_lcp_restores_strings_after_a_fault(monkeypatch, case):
                                         ("tail", rec.reads == 2)] if hit}
     # so every stage the case reaches had faults injected
     assert rec.reads and reached == _FAULT_STAGES[case], (reached, rec)
+    fault_at[0] = 0  # retrieve reads through the ticking _symbols too
     assert {s.id: full(forest, s) for s in forest.live_handles()} == before
 
 
@@ -840,8 +859,8 @@ def _scrambled_map_case(mode=LINEAR):
     return forest, s, w, table
 
 
-def _walk_involution_faults(mode, op, i, j):
-    """Run op(s, i, j) on the scrambled case with its k-th involution
+def _walk_involution_faults(mode, op, *args):
+    """Run op(s, *args) on the scrambled case with its k-th involution
     lookup raising, for every k the op reaches.  Each fault must leave the
     content as it was and every invariant intact; a second call then
     completes the op.  Returns the last k and the op's mapped refreshes."""
@@ -851,16 +870,16 @@ def _walk_involution_faults(mode, op, i, j):
         forest, s, w, table = _scrambled_map_case(mode)
         oracle = OracleForest(involution=FLIP)
         o = oracle.make_string(w, mode)
-        getattr(oracle, op)(o, i, j)
+        getattr(oracle, op)(o, *args)
         before = forest.stats.mapped_refreshes
         table.fault_at = k
         try:
-            getattr(forest, op)(s, i, j)
+            getattr(forest, op)(s, *args)
         except InjectedFault:
             table.fault_at = 0
             sc.verify_tree(s.tree.root, forest.ctx)
             assert full(forest, s) == w, (op, k)
-            getattr(forest, op)(s, i, j)
+            getattr(forest, op)(s, *args)
         else:
             break
         sc.verify_tree(s.tree.root, forest.ctx)
@@ -893,6 +912,11 @@ def test_map_leaves_string_intact_after_an_involution_fault():
     assert k > 5
     k, _ = _walk_involution_faults(LINEAR, "insert", 250, 7)
     assert k > 5
+    # delete is extract's cut of one symbol: its closing join walks no
+    # spine, so a fault in a split leaves the string whole.
+    faults = sum(_walk_involution_faults(LINEAR, "delete", i)[0] - 1
+                 for i in (2, 100, 250, 400, 499))
+    assert faults > 5
 
 
 def test_introduce_keeps_the_donor_after_an_involution_fault():
