@@ -376,7 +376,7 @@ class Forest:
         return False
 
     def _pieces(self, s, i, t):
-        """Isolate the t symbols from stored position i and yield the
+        """Isolate the t <= n symbols from stored position i and yield the
         subtree roots that hold them in order: none for t = 0, [i..i+t-1],
         or [i..n] then [1..i+t-1-n] when the range wraps through the seam.
 
