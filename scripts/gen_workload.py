@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Emit a random operation script on stdout, replayable by the fest CLI.
+r"""Emit a random operation script on stdout, replayable by the fest CLI.
 
-Example:
+A script holds MAP lines unless --no-map is given, so its replay needs an
+involution file; any pairs will do.  Example:
+    printf '65 84\n67 71\n' > /tmp/dna.inv
     python3 scripts/gen_workload.py --seed 3 --ops 5000 > /tmp/w.fest
-    fest --shadow-oracle --involution dna.inv /tmp/w.fest
+    fest --shadow-oracle --involution /tmp/dna.inv /tmp/w.fest
 """
 
 import argparse

@@ -5,6 +5,12 @@ context, `Forest.ctx` (so substring fingerprints compare across strings),
 which also holds the optional symbol involution.  Indices are 1-based
 throughout.
 
+The unrolled queries (`equal_omega`, `equal_omega_omega`, `lcp_omega`)
+treat a circular string as its infinite self-concatenation.  By the
+periodicity bound, two unrollings that agree on their first
+|s1| + |s2| - gcd(|s1|, |s2|) symbols agree forever, so every unrolled
+comparison is capped at |s1| + |s2|.
+
 A Forest is single-threaded: queries splay, so even reads mutate.
 """
 
@@ -128,8 +134,8 @@ class Forest:
     def access(self, s: DynString, i: int) -> int:
         """The symbol at position i."""
         self._check(s)
-        self.stats.finds += 1
         node = sc.find(s.tree, i, self.ctx, self.stats)
+        self.stats.finds += 1
         return node.char
 
     def retrieve(self, s: DynString, i: int, j: int) -> list[int]:
@@ -153,7 +159,6 @@ class Forest:
             raise RangeError("negative length")
         if l == 0:
             return True
-        fps = []
         for s, i in ((s1, i1), (s2, i2)):
             n = s.length
             if s.mode == LINEAR:
@@ -161,14 +166,11 @@ class Forest:
                     raise RangeError(
                         f"range [{i}, {i + l - 1}] outside [1, {n}]")
             else:
-                if not 1 <= i <= n:
-                    raise RangeError(f"position {i} outside [1, {n}]")
+                self._point(s, i)
                 if l > n:
                     raise RangeError(
                         f"range length {l} exceeds circle size {n}")
-            fps.append(self._fp(s, i, l))
-        self.stats.equal_tests += 1
-        return fps[0] == fps[1]
+        return self._same(s1, i1, s2, i2, l)
 
     # ------------------------------------------------------------- edits
 
@@ -176,9 +178,9 @@ class Forest:
         """Overwrite the symbol at position i."""
         self._check(s)
         (c,) = _as_symbols([c])
-        self.stats.finds += 1
         ctx = self.ctx
         node = sc.find(s.tree, i, ctx, self.stats)
+        self.stats.finds += 1
         node.char = c
         sc.pull(node, ctx.base, ctx.modulus, ctx.pw, ctx.fmap)
 
@@ -202,8 +204,7 @@ class Forest:
     def delete(self, s: DynString, i: int) -> None:
         """Remove the symbol at position i: `extract`'s cut of i..i."""
         self._check(s)
-        if not 1 <= i <= s.length:
-            raise RangeError(f"position {i} outside [1, {s.length}]")
+        self._point(s, i)
         self.stats.finds += 1
         self._cut(s.tree, i, i)
 
@@ -317,28 +318,49 @@ class Forest:
     def rotate(self, s: DynString, i: int) -> None:
         """Validate a rotation of a circular string, which moves no symbol:
         the canonical string is rotation-invariant."""
-        self._check(s)
-        _circ.rotate(s, i)
+        self._check_circular((s, i))
 
     def equal_omega(self, s1: DynString, i1: int, s2: DynString, i2: int,
                     l: int) -> bool:
-        """Whether the length-l prefixes of the two unrolled strings match."""
-        self._check(s1)
-        self._check(s2)
-        return _circ.equal_omega(self, s1, i1, s2, i2, l)
+        """Whether the length-l prefixes of the two unrolled strings match
+        (whp); l is capped at |s1| + |s2|, since agreement that far is
+        agreement forever."""
+        self._check_circular((s1, i1), (s2, i2))
+        if l < 0:
+            raise RangeError("negative length")
+        if l == 0:
+            return True
+        return self._same(s1, i1, s2, i2, min(l, s1.length + s2.length))
 
     def equal_omega_omega(self, s1: DynString, i1: int, l1: int,
                           s2: DynString, i2: int, l2: int) -> bool:
-        """Whether the unrollings of two unrolled substrings coincide."""
-        self._check(s1)
-        self._check(s2)
-        return _circ.equal_omega_omega(self, s1, i1, l1, s2, i2, l2)
+        """Whether the unrollings of two unrolled substrings coincide (whp).
+
+        Reduces to comparing the l2-fold copy of one window against the
+        l1-fold copy of the other, all in fingerprint space.
+        """
+        self._check_circular((s1, i1), (s2, i2))
+        if l1 < 1 or l2 < 1:
+            raise RangeError("window lengths must be at least 1")
+        k1 = self._fp(s1, i1, l1)
+        k2 = self._fp(s2, i2, l2)
+        ctx = self.ctx
+        p = ctx.modulus
+        d1 = pow(ctx.base, l1, p)
+        d2 = pow(ctx.base, l2, p)
+        self.stats.equal_tests += 1
+        return k1 * ctx.geomsum(d1, l2 - 1) % p \
+            == k2 * ctx.geomsum(d2, l1 - 1) % p
 
     def lcp_omega(self, s1: DynString, i1: int, s2: DynString, i2: int):
-        """Longest common prefix of the two unrolled strings; may be infinite."""
-        self._check(s1)
-        self._check(s2)
-        return _circ.lcp_omega(self, s1, i1, s2, i2)
+        """Longest common prefix of the two unrolled strings, plus their
+        order: (INFINITE, EQUAL) when the unrollings coincide, else a length
+        below the cap |s1| + |s2| and the strict order.  Runs the linear
+        lcp's pipeline with the cap as its full length and total."""
+        self._check_circular((s1, i1), (s2, i2))
+        cap = s1.length + s2.length
+        out = lcp_pipeline(self, s1, i1, s2, i2, cap, cap)
+        return (_circ.INFINITE, Order.EQUAL) if out is None else out
 
     # ------------------------------------------------------------- the lcp
 
@@ -350,12 +372,10 @@ class Forest:
         """
         self._check(s1)
         self._check(s2)
+        self._point(s1, i1)
+        self._point(s2, i2)
         n1 = s1.length
         n2 = s2.length
-        if not 1 <= i1 <= n1:
-            raise RangeError(f"suffix start {i1} outside [1, {n1}]")
-        if not 1 <= i2 <= n2:
-            raise RangeError(f"suffix start {i2} outside [1, {n2}]")
         m1 = n1 - i1 + 1
         m2 = n2 - i2 + 1
         out = lcp_pipeline(self, s1, i1, s2, i2, min(m1, m2), n1 + n2)
@@ -364,6 +384,32 @@ class Forest:
         return out
 
     # ----------------------------------------------------------- internals
+
+    def _point(self, s, i) -> None:
+        """Validate position i of s."""
+        n = s.tree.size
+        if not 1 <= i <= n:
+            raise RangeError(f"position {i} outside [1, {n}]")
+
+    def _check_circular(self, *points) -> None:
+        """Validate the (string, position) operands of a circular query in
+        the oracle's order: every handle, then every mode, then every
+        position."""
+        for s, _ in points:
+            self._check(s)
+        for s, _ in points:
+            if s.mode != CIRCULAR:
+                raise UsageError(f"{s!r} is not circular")
+        for s, i in points:
+            self._point(s, i)
+
+    def _same(self, s1, i1, s2, i2, t) -> bool:
+        """Whether s1 unrolled from i1 and s2 from i2 have one fingerprint
+        over their first t symbols: one equality test."""
+        k1 = self._fp(s1, i1, t)
+        k2 = self._fp(s2, i2, t)
+        self.stats.equal_tests += 1
+        return k1 == k2
 
     def _wraps(self, s, i, j) -> bool:
         """Validate the range i..j of s; True when it wraps through the

@@ -966,6 +966,63 @@ def test_find_on_root_costs_no_rotations(forest):
     assert forest.stats.rotations == before
 
 
+def test_a_find_counts_only_at_a_valid_position(forest):
+    s = forest.make_string("ACGT")
+    for call in (lambda: forest.access(s, 9), lambda: forest.access(s, 0),
+                 lambda: forest.substitute(s, 9, 65),
+                 lambda: forest.delete(s, 9)):
+        with pytest.raises(RangeError):
+            call()
+    assert forest.stats.finds == 0
+    forest.access(s, 2)
+    forest.substitute(s, 2, 65)
+    forest.delete(s, 2)
+    assert forest.stats.finds == 3
+
+
+def test_comparisons_count_one_test_and_lcps_one_call(forest):
+    """An answered equality adds one equal test and an lcp one lcp call,
+    the same-position shortcut too; an empty equality and a rejected call
+    add nothing."""
+    f = forest
+    u = f.make_string("ACGTACGT")
+    a = f.make_string("ACGTAC", mode=CIRCULAR)
+    b = f.make_string("GTACAC", mode=CIRCULAR)
+    cases = [  # method, args, error, equal tests added, lcp calls added
+        (f.equal, (u, 1, u, 5, 4), None, 1, 0),
+        (f.equal, (a, 5, b, 1, 4), None, 1, 0),
+        (f.equal_omega, (a, 3, b, 1, 50), None, 1, 0),
+        (f.equal_omega_omega, (a, 1, 2, b, 3, 4), None, 1, 0),
+        (f.equal, (u, 1, u, 5, 0), None, 0, 0),
+        (f.equal_omega, (a, 1, b, 1, 0), None, 0, 0),
+        (f.lcp, (u, 1, u, 5), None, 0, 1),
+        (f.lcp, (u, 3, u, 3), None, 0, 1),
+        (f.lcp_omega, (a, 1, b, 3), None, 0, 1),
+        (f.lcp_omega, (a, 2, a, 2), None, 0, 1),
+        (f.equal, (u, 6, u, 1, 4), RangeError, 0, 0),
+        (f.equal, (u, 1, a, 1, 7), RangeError, 0, 0),
+        (f.equal, (u, 1, u, 1, -1), RangeError, 0, 0),
+        (f.equal_omega, (a, 1, u, 1, 3), UsageError, 0, 0),
+        (f.equal_omega, (a, 7, b, 1, 3), RangeError, 0, 0),
+        (f.equal_omega, (a, 1, b, 1, -1), RangeError, 0, 0),
+        (f.equal_omega_omega, (u, 1, 1, b, 1, 1), UsageError, 0, 0),
+        (f.equal_omega_omega, (a, 1, 0, b, 1, 1), RangeError, 0, 0),
+        (f.lcp, (u, 9, u, 1), RangeError, 0, 0),
+        (f.lcp_omega, (a, 1, u, 1), UsageError, 0, 0),
+        (f.lcp_omega, (a, 0, b, 1), RangeError, 0, 0),
+    ]
+    stats = f.stats
+    for method, args, error, tests, calls in cases:
+        before = stats.equal_tests, stats.lcp_calls
+        if error is None:
+            method(*args)
+        else:
+            with pytest.raises(error):
+                method(*args)
+        added = stats.equal_tests - before[0], stats.lcp_calls - before[1]
+        assert added == (tests, calls), (method.__name__, args)
+
+
 def test_total_length_tracking(forest):
     s1 = forest.make_string("abcd")
     s2 = forest.make_string("xy")
