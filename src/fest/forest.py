@@ -11,7 +11,9 @@ periodicity bound, two unrollings that agree on their first
 |s1| + |s2| - gcd(|s1|, |s2|) symbols agree forever, so every unrolled
 comparison is capped at |s1| + |s2|.
 
-A Forest is single-threaded: queries splay, so even reads mutate.
+A Forest is single-threaded: even reads mutate.  They push the lazy flags
+they pass down, and range reads splay through `isolate`; only `access` may
+leave the tree's shape as it was (`splaycore.select`).
 """
 
 from __future__ import annotations
@@ -132,9 +134,10 @@ class Forest:
     # ------------------------------------------------------------ queries
 
     def access(self, s: DynString, i: int) -> int:
-        """The symbol at position i."""
+        """The symbol at position i; its node is splayed only when it lies
+        deep (`splaycore.select`)."""
         self._check(s)
-        node = sc.find(s.tree, i, self.ctx, self.stats)
+        node = sc.select(s.tree, i, self.ctx, self.stats)
         self.stats.finds += 1
         return node.char
 

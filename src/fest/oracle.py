@@ -63,9 +63,6 @@ class OracleForest:
         self._strings: dict[int, OracleString] = {}
         self._next_id = 0
 
-    def live_handles(self):
-        return list(self._strings.values())
-
     def _register(self, symbols, mode) -> OracleString:
         s = OracleString(self._next_id, mode, symbols)
         self._next_id += 1

@@ -375,6 +375,36 @@ def find(tree: Tree, i: int, cfg: FingerprintContext, stats: TreeStats) -> Node:
     return x
 
 
+#: `select` splays only a node deeper than SHALLOW * n.bit_length().  At 1
+#: it would splay most nodes, since a balanced tree is n.bit_length() levels
+#: deep; 3 saves barely more rotations than 2.
+SHALLOW = 2
+
+
+def select(tree: Tree, i: int, cfg: FingerprintContext,
+           stats: TreeStats) -> Node:
+    """Select the node of rank i; splay it to the root only when it lies
+    deeper than SHALLOW * n.bit_length().
+
+    A descent and its fixes change no subtree size, so an access that does
+    not splay costs its depth, O(log n), and leaves the potential of the
+    access lemma as it was.  Its depth is counted up the parent links, at
+    most SHALLOW * n.bit_length() + 1 of them.
+    """
+    n = tree.size
+    if not 1 <= i <= n:
+        raise RangeError(f"rank {i} outside [1, {n}]")
+    x = descend_to_rank(tree.root, i, cfg, stats)
+    a = x
+    for _ in range(SHALLOW * n.bit_length() + 1):
+        a = a.parent
+        if a is None:
+            return x
+    splay(x, cfg, stats)
+    tree.root = x
+    return x
+
+
 def isolate(tree: Tree, i: int, j: int, cfg: FingerprintContext, stats: TreeStats):
     """Restructure so the ranks i..j form one subtree; return its root.
 

@@ -85,6 +85,45 @@ def test_access_matches_source(forest):
         assert forest.access(s, i) == w[i - 1]
 
 
+def test_a_shallow_access_leaves_the_tree_as_it_was(forest):
+    # A balanced 1000-symbol tree is 10 levels deep, within the limit of
+    # SHALLOW * n.bit_length() = 20, so no access splays.
+    rng = random.Random(2)
+    w = [rng.choice(b"ACGT") for _ in range(1000)]
+    s = forest.make_string(w)
+    root, rotations = s.tree.root, forest.stats.rotations
+    for i in range(1, 1001):
+        assert forest.access(s, i) == w[i - 1]
+    assert s.tree.root is root
+    assert forest.stats.rotations == rotations
+    assert full(forest, s) == w
+
+
+def test_accesses_keep_flagged_strings_whole():
+    # Shallow and deep accesses alike fix the flags they pass and leave
+    # every invariant intact; the finds in rank order start from a spine.
+    rng = random.Random(21)
+    forest, oracle = Forest(seed=21, involution=DNA), OracleForest(DNA)
+    w = [rng.choice(b"ACGT") for _ in range(400)]
+    s, o = forest.make_string(w), oracle.make_string(w)
+    for i in range(1, 401):
+        sc.find(s.tree, i, forest.ctx, forest.stats)
+    splayed = 0
+    for step in range(300):
+        if step % 10 == 0:
+            i, j = sorted(rng.sample(range(1, 401), 2))
+            op = rng.choice(("reverse", "map"))
+            getattr(forest, op)(s, i, j)
+            getattr(oracle, op)(o, i, j)
+        root = s.tree.root
+        i = rng.randint(1, 400)
+        assert forest.access(s, i) == oracle.access(o, i)
+        splayed += s.tree.root is not root
+        sc.verify_tree(s.tree.root, forest.ctx)
+        assert sc.logical_symbols(s.tree.root, DNA) == o.symbols
+    assert 0 < splayed < 300
+
+
 # ------------------------------------------------------------------ retrieve
 
 def test_retrieve_full_and_tail(forest):
@@ -671,8 +710,13 @@ def test_deep_spines_never_recurse():
     forest = Forest(seed=14)
     n = 30_000
     s = forest.make_string([1] * n)
-    for i in range(1, n, 997):  # sorted accesses degrade the shape
-        forest.access(s, i)
+    for i in range(1, n + 1):  # finds in rank order leave a left spine
+        sc.find(s.tree, i, forest.ctx, forest.stats)
+    assert sc.tree_height(s.tree.root) == n
+    rotations = forest.stats.rotations
+    assert forest.access(s, 1) == 1  # the deep end splays
+    assert s.tree.root.left is sc.NULL
+    assert forest.stats.rotations > rotations
     assert forest.retrieve(s, 1, n) == [1] * n
     sc.verify_tree(s.tree.root, forest.ctx)
     assert sc.logical_symbols(s.tree.root, None) == [1] * n
@@ -840,8 +884,8 @@ def _scrambled_map_case(mode=LINEAR):
     forest = Forest(seed=41, involution=FLIP)
     w = [rng.randrange(8) for _ in range(500)]
     s = forest.make_string(w, mode)
-    for _ in range(300):
-        forest.access(s, rng.randint(1, 500))
+    for _ in range(300):  # splays, so pulls leave stale mapped pairs
+        sc.find(s.tree, rng.randint(1, 500), forest.ctx, forest.stats)
     for _ in range(12):
         i, j = sorted(rng.sample(range(1, 501), 2))
         if rng.random() < 0.5:

@@ -295,6 +295,25 @@ def test_find_range_errors():
         sc.find(tree, 4, cfg, stats)
 
 
+def test_select_splays_only_below_the_depth_limit():
+    # On the left spine that finds in rank order leave, rank k lies at
+    # depth n - k.
+    n = 64
+    tree, cfg, stats = make_tree(list(range(n)))
+    for i in range(1, n + 1):
+        sc.find(tree, i, cfg, stats)
+    limit = sc.SHALLOW * n.bit_length()
+    root, rotations = tree.root, stats.rotations
+    x = sc.select(tree, n - limit, cfg, stats)
+    assert x.char == n - limit - 1 and ancestor_count(x) == limit
+    assert tree.root is root and stats.rotations == rotations
+    x = sc.select(tree, n - limit - 1, cfg, stats)
+    assert x.char == n - limit - 2 and tree.root is x
+    assert stats.rotations > rotations
+    assert content(tree, cfg) == list(range(n))
+    sc.verify_tree(tree.root, cfg)
+
+
 # ----------------------------------------------------------------- isolate
 
 def test_isolate_whole_range_returns_root():
